@@ -30,6 +30,7 @@ from .modular import (
     _checked_points,
     _gate,
     _minimal_masks,
+    _table_axioms,
     candidate_parameters,
     regularize,
     topology,
@@ -46,7 +47,6 @@ from .stepfn import (
     is_left_continuous,
     le_op,
     left_regularize,
-    oplus_interior,
     parse_step_literal,
     well_below_fstep,
 )
@@ -221,29 +221,7 @@ def check_qcategory(cat: Category) -> QCategoryReport:
 
 
 def _check_nabla(cat: NablaCategory) -> QCategoryReport:
-    pts = cat.points
-    qc1 = all(cat.hom(x, x) == ZERO for x in pts)
-    qc2 = True
-    for x in pts:
-        for z in pts:
-            hxz = cat.hom(x, z)
-            for y in pts:
-                comp = oplus_interior(hxz, cat.hom(z, y))
-                if not le_op(comp, cat.hom(x, y)):
-                    qc2 = False
-                    break
-            if not qc2:
-                break
-        if not qc2:
-            break
-    separated = all(
-        not (cat.hom(x, y) == ZERO and cat.hom(y, x) == ZERO)
-        for x in pts
-        for y in pts
-        if x != y
-    )
-    symmetric = all(cat.hom(x, y) == cat.hom(y, x) for x in pts for y in pts)
-    return QCategoryReport(qc1=qc1, qc2=qc2, separated=separated, symmetric=symmetric)
+    return QCategoryReport(*_table_axioms(cat.points, cat.hom))
 
 
 def _check_finite(cat: FiniteQCategory) -> QCategoryReport:

@@ -126,14 +126,16 @@ class ExtRational:
         return self._num == other._num
 
     def __lt__(self, other: "ExtRational") -> bool:
-        if self._num is None:
+        # Cross-multiplied: Fraction's own comparison pays for an ABC check.
+        a, b = self._num, other._num
+        if a is None:
             return False
-        if other._num is None:
+        if b is None:
             return True
-        return self._num < other._num
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
     def __le__(self, other: "ExtRational") -> bool:
-        return self == other or self < other
+        return not other < self
 
     def __gt__(self, other: "ExtRational") -> bool:
         return other < self
@@ -261,13 +263,22 @@ BOTTOM = StepFunction(INF)
 def eval_at(f: StepFunction, t: RationalLike) -> ExtRational:
     """The value of ``f`` at parameter ``t > 0``, honoring at/after cuts."""
     t_f = as_fraction(t)
-    if t_f <= 0:
+    n, d = t_f.numerator, t_f.denominator
+    if n <= 0:
         raise InputError(f"parameter must be positive, got {t_f}")
-    positions = [c.pos for c in f.cuts]
-    i = bisect_right(positions, t_f)
-    if i == 0:
+    # bisect_right over the cut positions, cross-multiplied as in ExtRational
+    cuts = f.cuts
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = cuts[mid].pos
+        if n * p.denominator < p.numerator * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == 0:
         return f.head
-    cut = f.cuts[i - 1]
+    cut = cuts[lo - 1]
     return cut.at if cut.pos == t_f else cut.after
 
 
@@ -279,41 +290,151 @@ def value_after(f: StepFunction, t: RationalLike) -> ExtRational:
     return f.head if i == 0 else f.cuts[i - 1].after
 
 
-def _merged_positions(fs: Iterable[StepFunction]) -> list[Fraction]:
-    pos: set[Fraction] = set()
-    for f in fs:
-        pos.update(c.pos for c in f.cuts)
-    return sorted(pos)
+# ---------------------------------------------------------------------------
+# Integer form and the one kernel per operation.
+#
+# Order, join, meet and convolution all run on an integer image of a step
+# function, ``(head, ((pos, at, after), ...))``: positions are multiplied by
+# one position scale and finite values by one value scale (each the lcm of
+# the denominators involved), and infinity is ``math.inf``, which mixes
+# exactly with Python ints under ``+`` and ``min``.  Sums of positions and
+# sums and minima of values stay on the same scales, so a whole table is
+# converted once, combined any number of times, and converted back once.
+
+_IFn = tuple[object, tuple[tuple[int, object, object], ...]]
+
+
+def _scaled(num: Fraction | None, scale: int):
+    return math.inf if num is None else num.numerator * (scale // num.denominator)
+
+
+def _to_ints(fns: Iterable[StepFunction]) -> tuple[int, int, list[_IFn]]:
+    """The common position and value scales of ``fns`` and their integer forms."""
+    fns = list(fns)
+    p_scale = lcm(1, *{c.pos.denominator for f in fns for c in f.cuts})
+    vals = {v._num for f in fns for v in (f.head, *(x for c in f.cuts for x in c[1:]))}
+    v_scale = lcm(1, *{v.denominator for v in vals if v is not None})
+
+    def ints(f: StepFunction) -> _IFn:
+        return _scaled(f.head._num, v_scale), tuple(
+            (_scaled(p, p_scale), _scaled(a._num, v_scale), _scaled(b._num, v_scale))
+            for p, a, b in f.cuts
+        )
+
+    return p_scale, v_scale, [ints(f) for f in fns]
+
+
+def _from_int(fi: _IFn, p_scale: int, v_scale: int) -> StepFunction:
+    def val(v) -> ExtRational:
+        return INF if v == math.inf else ExtRational(Fraction(v, v_scale))
+
+    cuts = [(Fraction(p, p_scale), val(at), val(after)) for p, at, after in fi[1]]
+    return StepFunction(val(fi[0]), cuts)
+
+
+def _le(f: _IFn, g: _IFn) -> bool:
+    """``g <= f`` pointwise, by one merge of the two cut lists."""
+    fv, fc = f
+    gv, gc = g
+    if gv > fv:
+        return False
+    i = j = 0
+    while i < len(fc) and j < len(gc):
+        p, f_at, f_after = fc[i]
+        q, g_at, g_after = gc[j]
+        if p <= q:
+            i += 1
+            fv = f_after
+        else:
+            f_at = fv
+        if q <= p:
+            j += 1
+            gv = g_after
+        else:
+            g_at = gv
+        if g_at > f_at or gv > fv:
+            return False
+    # Left over: cuts of f only (g is constant gv from here), or cuts of g
+    # only, which never rise above the gv <= fv checked last.
+    return i == len(fc) or gv <= fc[-1][2]
+
+
+def _pointwise_int(fns: list[_IFn], pick) -> _IFn:
+    """Pointwise ``pick`` (min or max) of non-increasing integer forms."""
+    moves: dict[int, list] = {}
+    for k, (_, cuts) in enumerate(fns):
+        for pos, at, after in cuts:
+            moves.setdefault(pos, []).append((k, at, after))
+    cur = [head for head, _ in fns]
+    prev = head = pick(cur)
+    out = []
+    for pos in sorted(moves):
+        ats = cur[:]
+        for k, at, after in moves[pos]:
+            ats[k] = at
+            cur[k] = after
+        at, after = pick(ats), pick(cur)
+        if at != prev or after != prev:
+            out.append((pos, at, after))
+            prev = after
+    return head, tuple(out)
+
+
+def _least_sums(fa: list, ga: list) -> dict:
+    """For each start ``p + q`` of a pair of atoms, the least value ``u + v``."""
+    best: dict = {}
+    for p, u in fa:
+        for q, v in ga:
+            s, w = p + q, u + v
+            if w < best.get(s, math.inf):
+                best[s] = w
+    return best
+
+
+def _conv(f: _IFn, g: _IFn, with_boundary: bool) -> _IFn:
+    """The atom sweep of :func:`oplus` on two integer forms on common scales.
+
+    A point plus an open piece is never below the open piece starting at the
+    same cut plus that open piece, so only point + point sums (closed) and
+    open + open sums (open) are kept.
+    """
+    inf = math.inf
+
+    def atoms(fn: _IFn) -> tuple[list, list]:
+        head, cuts = fn
+        pts = ([(0, head)] if with_boundary else []) + [(p, at) for p, at, _ in cuts]
+        ops = [(0, head)] + [(p, after) for p, _, after in cuts]
+        return [a for a in pts if a[1] != inf], [a for a in ops if a[1] != inf]
+
+    (f_pts, f_ops), (g_pts, g_ops) = atoms(f), atoms(g)
+    closed, opened = _least_sums(f_pts, g_pts), _least_sums(f_ops, g_ops)
+    head = cur = min(closed.pop(0, inf), opened.pop(0, inf))
+    cuts = []
+    for s in sorted(closed.keys() | opened.keys()):
+        at = min(cur, closed.get(s, inf))
+        after = min(at, opened.get(s, inf))
+        if after < cur:
+            cuts.append((s, at, after))
+            cur = after
+    return head, tuple(cuts)
 
 
 def le_op(f: StepFunction, g: StepFunction) -> bool:
     """True iff ``f`` is below ``g`` in the opposite pointwise order.
 
     Concretely: ``eval_at(g, t) <= eval_at(f, t)`` for every ``t > 0``,
-    decided exactly on the merged cut grid (each cut point plus one value per
-    open interval).
+    decided exactly by one merge of the two cut lists (each cut point plus
+    the open interval after it).
     """
-    if g.head > f.head:
-        return False
-    for p in _merged_positions((f, g)):
-        if eval_at(g, p) > eval_at(f, p):
-            return False
-        if value_after(g, p) > value_after(f, p):
-            return False
-    return True
+    _, _, (fi, gi) = _to_ints((f, g))
+    return _le(fi, gi)
 
 
 def _pointwise(fs: Iterable[StepFunction], pick) -> StepFunction:
-    fns = list(fs)
-    if not fns:
+    p_scale, v_scale, ints = _to_ints(fs)
+    if not ints:
         raise InputError("empty family; use the ZERO/BOTTOM constants instead")
-    head = pick(f.head for f in fns)
-    cuts = []
-    for p in _merged_positions(fns):
-        at = pick(eval_at(f, p) for f in fns)
-        after = pick(value_after(f, p) for f in fns)
-        cuts.append((p, at, after))
-    return StepFunction(head, cuts)
+    return _from_int(_pointwise_int(ints, pick), p_scale, v_scale)
 
 
 def join_op(fs: Iterable[StepFunction]) -> StepFunction:
@@ -326,133 +447,9 @@ def meet_op(fs: Iterable[StepFunction]) -> StepFunction:
     return _pointwise(fs, max)
 
 
-# ---------------------------------------------------------------------------
-# Infimal convolution.
-#
-# The hot path below works on integer-scaled data: cut positions are scaled
-# by twice their common denominator (so midpoints stay integral) and finite
-# values by theirs; infinity rides along as math.inf, which mixes exactly
-# with Python ints under + and min.
-
-_IFn = tuple[object, list[int], list[object], list[object]]
-
-
-def _scale_positions(f: StepFunction, p_scale: int) -> list[int]:
-    out = []
-    for c in f.cuts:
-        scaled = c.pos * p_scale
-        out.append(scaled.numerator)  # exact: p_scale is a multiple of the denominator
-    return out
-
-
-def _scale_value(v: ExtRational, v_scale: int):
-    if v.is_infinite:
-        return math.inf
-    scaled = v.as_fraction() * v_scale
-    return scaled.numerator
-
-
-def _scaled_fn(f: StepFunction, p_scale: int, v_scale: int) -> _IFn:
-    return (
-        _scale_value(f.head, v_scale),
-        _scale_positions(f, p_scale),
-        [_scale_value(c.at, v_scale) for c in f.cuts],
-        [_scale_value(c.after, v_scale) for c in f.cuts],
-    )
-
-
-def _ieval(fn: _IFn, t: int):
-    head, pos, at, after = fn
-    i = bisect_right(pos, t)
-    if i == 0:
-        return head
-    return at[i - 1] if pos[i - 1] == t else after[i - 1]
-
-
-def _iafter(fn: _IFn, t: int):
-    head, pos, _at, after = fn
-    i = bisect_right(pos, t)
-    return head if i == 0 else after[i - 1]
-
-
-def _conv_value(tau: int, fi: _IFn, gi: _IFn, with_boundary: bool):
-    """Infimum of f(r) + g(s) over splits r + s = tau.
-
-    Interior splits have r, s > 0.  With ``with_boundary`` the degenerate
-    splits r = 0 and s = 0 contribute the head (0+ limit) of the respective
-    function, which is what makes the zero function a genuine unit.
-    """
-    best = math.inf
-    if with_boundary:
-        b1 = fi[0] + _ieval(gi, tau)
-        b2 = _ieval(fi, tau) + gi[0]
-        if b1 < best:
-            best = b1
-        if b2 < best:
-            best = b2
-    pts: set[int] = set()
-    for p in fi[1]:
-        if 0 < p < tau:
-            pts.add(p)
-    for q in gi[1]:
-        r = tau - q
-        if 0 < r < tau:
-            pts.add(r)
-    spts = sorted(pts)
-    for r in spts:
-        v = _ieval(fi, r) + _ieval(gi, tau - r)
-        if v < best:
-            best = v
-    prev = 0
-    for b in spts:
-        v = _iafter(fi, prev) + _iafter(gi, tau - b)
-        if v < best:
-            best = v
-        prev = b
-    v = _iafter(fi, prev) + _iafter(gi, 0)
-    if v < best:
-        best = v
-    return best
-
-
-def _unscale(v, v_scale: int) -> ExtRational:
-    return INF if v == math.inf else ExtRational(Fraction(v, v_scale))
-
-
-def _oplus_impl(f: StepFunction, g: StepFunction, with_boundary: bool) -> StepFunction:
-    if f == BOTTOM or g == BOTTOM:
-        return BOTTOM
-    if with_boundary:
-        # ZERO is the unit of the boundary-inclusive form (and only of it).
-        if f == ZERO:
-            return g
-        if g == ZERO:
-            return f
-    p_scale = 2 * lcm(
-        1, *(c.pos.denominator for c in f.cuts), *(c.pos.denominator for c in g.cuts)
-    )
-    v_scale = lcm(
-        1,
-        *(
-            v.as_fraction().denominator
-            for fn in (f, g)
-            for v in fn.attained_values()
-            if not v.is_infinite
-        ),
-    )
-    fi = _scaled_fn(f, p_scale, v_scale)
-    gi = _scaled_fn(g, p_scale, v_scale)
-    f_marks = [0, *fi[1]]
-    g_marks = [0, *gi[1]]
-    cands = sorted({p + q for p in f_marks for q in g_marks} - {0})
-    head = _unscale(fi[0] + gi[0], v_scale)
-    cuts = []
-    for i, c in enumerate(cands):
-        at = _conv_value(c, fi, gi, with_boundary)
-        probe = (c + cands[i + 1]) // 2 if i + 1 < len(cands) else c + 1
-        after = _conv_value(probe, fi, gi, with_boundary)
-        cuts.append((Fraction(c, p_scale), _unscale(at, v_scale), _unscale(after, v_scale)))
-    return StepFunction(head, cuts)
+def _oplus(f: StepFunction, g: StepFunction, with_boundary: bool) -> StepFunction:
+    p_scale, v_scale, (fi, gi) = _to_ints((f, g))
+    return _from_int(_conv(fi, gi, with_boundary), p_scale, v_scale)
 
 
 def oplus(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -466,10 +463,16 @@ def oplus(f: StepFunction, g: StepFunction) -> StepFunction:
     spaces uses :func:`oplus_interior` instead, which keeps the classic split
     triangle inequality.
 
-    The result is exact: its cuts lie among pairwise sums of the inputs'
-    sample positions and the at/after values account for one-sided limits.
+    Computed by a sweep over atom sums.  Each input splits into its cut
+    points, the open pieces before, between and after them, and (here) the
+    point 0 with the head value.  Every split ``r + s = t`` lies in one pair
+    of atoms, and the result at ``t`` is the least value over the pairs whose
+    sum starts at or before ``t`` (strictly before, if the sum is open).
+    That is exact because both inputs are non-increasing: a split landing
+    before ``t`` can move right onto ``t`` without raising either value.
+    One running minimum over the sorted starts gives the canonical result.
     """
-    return _oplus_impl(f, g, with_boundary=True)
+    return _oplus(f, g, with_boundary=True)
 
 
 def oplus_interior(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -479,9 +482,10 @@ def oplus_interior(f: StepFunction, g: StepFunction) -> StepFunction:
     ``r + s = t`` with ``r, s > 0``.  On left-continuous inputs this agrees
     with :func:`oplus`; in general it is larger at left-jump points (its
     convolution with the zero function is the left regularization).  It is
-    the form matching the split triangle axiom of modular spaces.
+    the form matching the split triangle axiom of modular spaces.  Computed
+    by the same atom sweep as :func:`oplus`, without the point 0.
     """
-    return _oplus_impl(f, g, with_boundary=False)
+    return _oplus(f, g, with_boundary=False)
 
 
 def f_step(t: RationalLike, eps: Union[RationalLike, ExtRational]) -> StepFunction:
@@ -553,7 +557,7 @@ def well_below_fstep(
     """
     t_f = as_fraction(t)
     eps_v = ext(eps)
-    if t_f <= 0:
+    if t_f.numerator <= 0:
         raise InputError(f"threshold must be positive, got {t_f}")
     if not eps_v.is_infinite and eps_v.as_fraction() == 0:
         raise InputError("radius value must be positive")

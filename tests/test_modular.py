@@ -10,6 +10,7 @@ from nablamod import (
     BOTTOM,
     INF,
     ZERO,
+    ContractError,
     InputError,
     ParseError,
     PointMap,
@@ -503,6 +504,18 @@ def test_identity_is_nonexpansive():
     assert ok and k == 1
     assert is_strongly_uniformly_continuous(m)
     assert is_uniformly_continuous(m)
+
+
+def test_nonexpansive_violation_reports_a_broken_contract(monkeypatch):
+    # If le_op claims a violation that no probe can find, the witness search
+    # ends in the package's own error type, not a bare AssertionError.
+    import nablamod.modular as modular
+
+    s = chistyakov_example(2)
+    m = PointMap(s, s, {p: p for p in s.points})
+    monkeypatch.setattr(modular, "le_op", lambda f, g: False)
+    with pytest.raises(ContractError):
+        nonexpansive_violation(m)
 
 
 def test_regularization_direction_matters():

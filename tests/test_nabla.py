@@ -8,6 +8,8 @@ piece and the minimum over it (plus the endpoints) is exact, not an
 approximation.
 """
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -57,12 +59,12 @@ step_seeds = st.integers(min_value=0, max_value=2**31)
 # Oracles (independent implementations used to validate the real ones).
 
 
-def grid_points(limit=F(17)):
-    t = F(1, 8)
+def grid_points(limit=F(17), step=F(1, 8)):
+    t = step
     out = []
     while t <= limit:
         out.append(t)
-        t += F(1, 8)
+        t += step
     return out
 
 
@@ -71,8 +73,8 @@ def eval_with_zero(f, r):
     return f.head if r == 0 else eval_at(f, r)
 
 
-def conv_oracle(f, g, t, include_boundary):
-    """min of f(r) + g(t - r) over the sixteenth grid in [0, t] or (0, t)."""
+def conv_oracle(f, g, t, include_boundary, step=F(1, 16)):
+    """min of f(r) + g(t - r) over the ``step`` grid in [0, t] or (0, t)."""
     best = None
     r = F(0)
     while r <= t:
@@ -80,13 +82,13 @@ def conv_oracle(f, g, t, include_boundary):
             v = eval_with_zero(f, r) + eval_with_zero(g, t - r)
             if best is None or v < best:
                 best = v
-        r += F(1, 16)
+        r += step
     assert best is not None
     return best
 
 
-def le_oracle(f, g):
-    return all(eval_at(g, t) <= eval_at(f, t) for t in grid_points())
+def le_oracle(f, g, ts=None):
+    return all(eval_at(g, t) <= eval_at(f, t) for t in ts or grid_points())
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,34 @@ def test_eval_rejects_nonpositive_parameter():
         eval_at(ZERO, F(-1, 2))
 
 
+def test_eval_and_order_match_their_literal_definitions():
+    # eval_at bisects and ExtRational compares by cross-multiplication; the
+    # literal forms are a scan for the last cut at or before t and the order
+    # of Fraction with infinity on top.
+    def literal_eval(f, t):
+        value = f.head
+        for c in f.cuts:
+            if c.pos < t:
+                value = c.after
+            elif c.pos == t:
+                value = c.at
+        return value
+
+    def key(v):
+        return (1, 0) if v.is_infinite else (0, v.as_fraction())
+
+    rng = random.Random(59)
+    for _ in range(300):
+        f = odd_step(rng, max_cuts=6) if rng.random() < 0.5 else random_step(rng, 12)
+        probes = [*f.positions, *(p + F(1, 105) for p in f.positions)]
+        probes.append(F(rng.randint(1, 400), 105))
+        for t in probes:
+            assert eval_at(f, t) == literal_eval(f, t)
+        a, b = eval_at(f, probes[-1]), rng.choice([INF, ext(F(rng.randint(0, 30), 7))])
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+            assert op(a, b) == op(key(a), key(b))
+
+
 # ---------------------------------------------------------------------------
 # Order, join, meet.
 
@@ -275,6 +305,54 @@ def test_oplus_matches_grid_oracle():
         for t in grid_points():
             assert eval_at(h, t) == conv_oracle(f, g, t, include_boundary=True)
             assert eval_at(hi, t) == conv_oracle(f, g, t, include_boundary=False)
+
+
+def odd_step(rng, max_cuts=3):
+    """A random step function with cuts in (0, 2] on the 1/d grid, d drawn
+    from {3, 5, 7} per function, and values with denominators 3, 5 and 7
+    mixed (infinity included, heads too)."""
+    d = rng.choice((3, 5, 7))
+    grid = [F(i, d) for i in range(1, 2 * d + 1)]
+    positions = sorted(rng.sample(grid, rng.randint(0, max_cuts)))
+    pool = [INF] * 4 + [ext(F(i, rng.choice((3, 5, 7)))) for i in range(0, 15)]
+    values = sorted((rng.choice(pool) for _ in range(2 * len(positions) + 1)), reverse=True)
+    cuts = [(p, values[2 * i + 1], values[2 * i + 2]) for i, p in enumerate(positions)]
+    return StepFunction(values[0], cuts)
+
+
+def test_operations_match_oracles_off_the_quarter_grid():
+    """oplus, oplus_interior, le_op, join_op and meet_op against the oracles
+    above, on thirds, fifths and sevenths, infinite heads and values, and
+    BOTTOM/ZERO.  With cuts on the 1/D grid (D the lcm of the two
+    denominators) every cut of a convolution is a sum of input cuts, so the
+    results are checked at those sums and between them; there t lies on the
+    1/(2D) grid, every breakpoint of r -> f(r) + g(t - r) on the 1/(2D)
+    grid, and the 1/(4D) oracle grid hits every constant piece."""
+    rng = random.Random(53)
+    pairs = [(odd_step(rng, max_cuts=4), odd_step(rng, max_cuts=4)) for _ in range(80)]
+    pairs += [(f, c) for f, _ in pairs[:4] for c in (ZERO, BOTTOM)]
+    pairs += [(ZERO, BOTTOM), (BOTTOM, ZERO), (ZERO, ZERO)]
+    seen = {"inf head": 0, "inf value": 0, "left jump": 0}
+    for f, g in pairs:
+        denoms = [c.pos.denominator for c in f.cuts + g.cuts]
+        D = math.lcm(1, *denoms)
+        sums = sorted({p + q for p in (0, *f.positions) for q in (0, *g.positions)} - {0})
+        walls = [F(0), *sums, (sums[-1] if sums else F(0)) + 1]
+        ts = sorted(set(sums) | {(a + b) / 2 for a, b in zip(walls, walls[1:])})
+        for h, boundary in ((oplus(f, g), True), (oplus_interior(f, g), False)):
+            assert set(h.positions) <= set(sums)
+            for t in ts:
+                assert eval_at(h, t) == conv_oracle(f, g, t, boundary, step=F(1, 4 * D))
+        grid = grid_points(max(sums, default=F(0)) + 1, step=F(1, 2 * D))
+        assert le_op(f, g) == le_oracle(f, g, grid)
+        assert le_op(g, f) == le_oracle(g, f, grid)
+        j, m = join_op([f, g]), meet_op([f, g])
+        assert all(eval_at(j, t) == min(eval_at(f, t), eval_at(g, t)) for t in grid)
+        assert all(eval_at(m, t) == max(eval_at(f, t), eval_at(g, t)) for t in grid)
+        seen["inf head"] += f.head.is_infinite
+        seen["inf value"] += any(c.at.is_infinite for c in f.cuts)
+        seen["left jump"] += not is_left_continuous(f)
+    assert all(seen.values()), seen
 
 
 @given(step_seeds, step_seeds)

@@ -21,7 +21,7 @@ import random
 import sys
 from typing import Optional, Union
 
-from .errors import ContractError, InputError, ParseError, ResourceBoundError
+from .errors import ContractError, InputError, ParseError, ResourceBoundError, _lines
 from .modular import (
     ScaledModularSpace,
     StepModularSpace,
@@ -87,11 +87,8 @@ def _read(path: str) -> str:
 
 def _load(path: str, *, close: bool = False) -> Loaded:
     text = _read(path)
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        head = body.split()[0]
+    for _lineno, _body, tokens in _lines(text):
+        head = tokens[0][0]
         if head == "space":
             return parse_space(text, close=close)
         if head == "qcat":

@@ -2,8 +2,11 @@
 
 A space with step-function distances is the same data as a small category
 enriched in the step-function quantale: points become objects and each
-ordered pair carries a hom given by its distance profile.  This module
-provides that categorical presentation (:class:`NablaCategory`), its
+ordered pair carries a hom given by its distance profile.  The category
+classes here therefore share the spaces' table core
+(:class:`nablamod.modular._Table`), and converting between the two views
+hands the validated table over unchanged.  This module provides that
+categorical presentation (:class:`NablaCategory`), its
 counterpart over an explicit finite quantale (:class:`FiniteQCategory`),
 the conversions between spaces and categories, the open-ball topology,
 and two bridge constructions: preorders as categories over the
@@ -17,27 +20,32 @@ by running them, not by appeal to a general theorem.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import ContractError, InputError, ParseError
+from .errors import ContractError, InputError, ParseError, _lines, _pair, _point
 from .modular import (
     FiniteTopology,
     PointMap,
     StepModularSpace,
-    _checked_points,
+    _Table,
+    _base_minimal_masks,
     _gate,
-    _minimal_masks,
+    _open_sets,
     _table_axioms,
     candidate_parameters,
     regularize,
     topology,
 )
-from .quantale_lab import FinitePoset, FinitePreorder, FiniteQuantale, make_example
+from .quantale_lab import (
+    FinitePoset,
+    FinitePreorder,
+    FiniteQuantale,
+    make_example,
+    parse_lattice,
+)
 from .stepfn import (
-    ZERO,
     ExtRational,
     RationalLike,
     StepFunction,
@@ -76,62 +84,29 @@ __all__ = [
 ]
 
 
-class NablaCategory:
+class NablaCategory(_Table):
     """Objects with step-function homs.
 
-    Same well-formedness rules as a step space: the hom table must cover
-    every ordered pair of distinct objects, and diagonal homs default to
-    the zero function.  Whether the composition and identity axioms hold
-    is a separate question answered by :func:`check_qcategory`.
+    The same table as a step space: the hom table must cover every ordered
+    pair of distinct objects, and diagonal homs default to the zero
+    function.  Whether the composition and identity axioms hold is a
+    separate question answered by :func:`check_qcategory`.
     """
 
-    def __init__(
-        self, points: Iterable[str], hom: Mapping[tuple[str, str], StepFunction]
-    ):
-        pts = _checked_points(points)
-        known = set(pts)
-        table: dict[tuple[str, str], StepFunction] = {}
-        for (a, b), fn in hom.items():
-            if a not in known or b not in known:
-                raise InputError(f"hom given for unknown pair ({a}, {b})")
-            if not isinstance(fn, StepFunction):
-                raise InputError(f"hom for ({a}, {b}) is not a step function")
-            table[(a, b)] = fn
-        for a in pts:
-            table.setdefault((a, a), ZERO)
-            for b in pts:
-                if (a, b) not in table:
-                    raise InputError(f"missing hom for pair ({a}, {b})")
-        self.points = pts
-        self._hom = table
-
-    def hom(self, x: str, y: str) -> StepFunction:
-        try:
-            return self._hom[(x, y)]
-        except KeyError:
-            raise InputError(f"unknown pair ({x}, {y})") from None
-
-    def all_homs(self) -> Iterable[StepFunction]:
-        return self._hom.values()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NablaCategory):
-            return NotImplemented
-        return self.points == other.points and self._hom == other._hom
-
-    def __hash__(self) -> int:
-        return hash((self.points, frozenset(self._hom.items())))
-
-    def __repr__(self) -> str:
-        return f"<NablaCategory on {len(self.points)} objects>"
+    _noun = "hom"
+    _members = "objects"
+    hom = _Table._entry
 
 
-class FiniteQCategory:
+class FiniteQCategory(_Table):
     """Objects with homs drawn from an explicit finite quantale.
 
     The quantale must carry a unit; enrichment without one is out of
     scope.  Diagonal homs default to the unit element.
     """
+
+    _noun = "hom"
+    hom = _Table._entry
 
     def __init__(
         self,
@@ -141,36 +116,20 @@ class FiniteQCategory:
     ):
         if quantale.unit is None:
             raise InputError("enrichment needs a quantale with a unit")
-        pts = _checked_points(points)
-        known = set(pts)
-        carrier = set(quantale.elements)
-        table: dict[tuple[str, str], str] = {}
-        for (a, b), v in hom.items():
-            if a not in known or b not in known:
-                raise InputError(f"hom given for unknown pair ({a}, {b})")
-            if v not in carrier:
-                raise InputError(f"hom value {v!r} is not a quantale element")
-            table[(a, b)] = v
-        for a in pts:
-            table.setdefault((a, a), quantale.unit)
-            for b in pts:
-                if (a, b) not in table:
-                    raise InputError(f"missing hom for pair ({a}, {b})")
         self.quantale = quantale
-        self.points = pts
-        self._hom = table
+        self._diagonal = quantale.unit
+        self._carrier = set(quantale.elements)
+        super().__init__(points, hom)
 
-    def hom(self, x: str, y: str) -> str:
-        try:
-            return self._hom[(x, y)]
-        except KeyError:
-            raise InputError(f"unknown pair ({x}, {y})") from None
+    def _value(self, a: str, b: str, v: str) -> str:
+        if v not in self._carrier:
+            raise InputError(f"hom value {v!r} is not a quantale element")
+        return v
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteQCategory):
-            return NotImplemented
-        if self.points != other.points or self._hom != other._hom:
-            return False
+        same = super().__eq__(other)
+        if same is not True:
+            return same
         q1, q2 = self.quantale, other.quantale
         if q1 is q2:
             return True
@@ -184,6 +143,10 @@ class FiniteQCategory:
                 for b in q1.elements
             )
         )
+
+    # Equal categories have equal points and hom tables, so the table hash
+    # is consistent with the quantale-aware equality above.
+    __hash__ = _Table.__hash__
 
     def __repr__(self) -> str:
         return (
@@ -256,24 +219,20 @@ def e_mod(space: StepModularSpace) -> NablaCategory:
     """View a step space as an enriched category.
 
     The distance table already assigns each ordered pair a step function,
-    so this just re-curries the data; object order and hom values are
-    untouched.  The split triangle axiom becomes the composition axiom and
-    the zero diagonal becomes the identity axiom.
+    so the validated table is handed over as the hom table; object order
+    and hom values are untouched.  The split triangle axiom becomes the
+    composition axiom and the zero diagonal becomes the identity axiom.
     """
     if not isinstance(space, StepModularSpace):
         raise InputError("only step spaces have a categorical presentation")
-    return NablaCategory(
-        space.points, {(a, b): space.w(a, b) for a in space.points for b in space.points}
-    )
+    return NablaCategory(space.points, space._table)
 
 
 def e_nabla(cat: NablaCategory) -> StepModularSpace:
     """Inverse of :func:`e_mod`: read the hom table as a distance table."""
     if not isinstance(cat, NablaCategory):
         raise InputError("only step-function categories convert to spaces")
-    return StepModularSpace(
-        cat.points, {(a, b): cat.hom(a, b) for a in cat.points for b in cat.points}
-    )
+    return StepModularSpace(cat.points, cat._table)
 
 
 def e_nabla_L(cat: NablaCategory) -> StepModularSpace:
@@ -373,7 +332,6 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
     """
     _gate(cat, max_points)
     pts = cat.points
-    n = len(pts)
     index = {p: i for i, p in enumerate(pts)}
     t_cands, eps_cands = candidate_parameters(e_nabla(cat))
     base: set[int] = set()
@@ -384,30 +342,7 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
                 for y in ball(cat, z, t, eps):
                     m |= 1 << index[y]
                 base.add(m)
-    per_point: list[set[int]] = [set() for _ in range(n)]
-    for m in base:
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            per_point[j].add(m)
-    minimal = [_minimal_masks(s) for s in per_point]
-    good = []
-    for g in range(1 << n):
-        ok = True
-        m = g
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not any(mask & ~g == 0 for mask in minimal[i]):
-                ok = False
-                break
-        if ok:
-            good.append(g)
-    opens = frozenset(
-        frozenset(pts[j] for j in range(n) if g >> j & 1) for g in good
-    )
-    return FiniteTopology(points=pts, opens=opens)
+    return _open_sets(pts, _base_minimal_masks(base, len(pts)))
 
 
 def verify_topology_theorem(space: StepModularSpace) -> bool:
@@ -453,52 +388,20 @@ def from_preorder(pre: FinitePreorder) -> FiniteQCategory:
 # Extended quasi-pseudometrics as categories over a truncated-addition chain.
 
 
-class ExtendedQPMetric:
+class ExtendedQPMetric(_Table):
     """A finite point set with a single extended distance per ordered pair.
 
     No axioms are imposed here; they are checked through the categorical
     presentation.  Diagonal entries default to zero.
     """
 
-    def __init__(
-        self,
-        points: Iterable[str],
-        d: Mapping[tuple[str, str], Union[RationalLike, ExtRational]],
-    ):
-        pts = _checked_points(points)
-        known = set(pts)
-        table: dict[tuple[str, str], ExtRational] = {}
-        for (a, b), v in d.items():
-            if a not in known or b not in known:
-                raise InputError(f"distance given for unknown pair ({a}, {b})")
-            val = ext(v)
-            if not val.is_infinite and val.as_fraction() < 0:
-                raise InputError(f"negative distance for ({a}, {b})")
-            table[(a, b)] = val
-        for a in pts:
-            table.setdefault((a, a), ext(0))
-            for b in pts:
-                if (a, b) not in table:
-                    raise InputError(f"missing distance for pair ({a}, {b})")
-        self.points = pts
-        self._d = table
+    _diagonal = ext(0)
+    d = _Table._entry
 
-    def d(self, x: str, y: str) -> ExtRational:
-        try:
-            return self._d[(x, y)]
-        except KeyError:
-            raise InputError(f"unknown pair ({x}, {y})") from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtendedQPMetric):
-            return NotImplemented
-        return self.points == other.points and self._d == other._d
-
-    def __hash__(self) -> int:
-        return hash((self.points, frozenset(self._d.items())))
-
-    def __repr__(self) -> str:
-        return f"<ExtendedQPMetric on {len(self.points)} points>"
+    def _value(
+        self, a: str, b: str, v: Union[RationalLike, ExtRational]
+    ) -> ExtRational:
+        return ext(v)  # which refuses negative values itself
 
 
 _CARRIER_CAP = 100_000
@@ -606,9 +509,6 @@ def to_eqpm(cat: FiniteQCategory) -> ExtendedQPMetric:
 # File format.
 
 
-_WORD = re.compile(r"\S+")
-
-
 def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
     """Parse the line-oriented category format.
 
@@ -620,17 +520,11 @@ def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
     """
     kind: Optional[str] = None
     quantale: Optional[FiniteQuantale] = None
-    points: list[str] = []
-    seen: set[str] = set()
-    nabla_hom: dict[tuple[str, str], StepFunction] = {}
-    finite_hom: dict[tuple[str, str], str] = {}
+    elements: set[str] = set()
+    points: dict[str, None] = {}
+    hom: dict[tuple[str, str], Union[StepFunction, str]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        cut = raw.find("#")
-        body = raw[:cut] if cut >= 0 else raw
-        tokens = [(mt.group(0), mt.start() + 1) for mt in _WORD.finditer(body)]
-        if not tokens:
-            continue
+    for lineno, body, tokens in _lines(text):
         head, head_col = tokens[0]
         if kind is None:
             if head != "qcat" or len(tokens) < 2 or tokens[1][0] not in (
@@ -651,36 +545,23 @@ def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
                         head_col,
                     )
                 quantale = _load_quantale(tokens[2][0], base_path)
+                elements = set(quantale.elements)
             elif len(tokens) != 2:
                 raise ParseError("'qcat nabla' takes no arguments", lineno, head_col)
             continue
         if head == "qcat":
             raise ParseError("duplicate header", lineno, head_col)
         if head == "point":
-            if len(tokens) != 2:
-                raise ParseError("'point' takes one name", lineno, head_col)
-            name, col = tokens[1]
-            if name in seen:
-                raise ParseError(f"duplicate point {name!r}", lineno, col)
-            seen.add(name)
-            points.append(name)
+            _point(points, tokens, lineno)
         elif head == "hom":
             if len(tokens) < 4:
                 raise ParseError(
                     "'hom' needs two points and a value", lineno, head_col
                 )
-            a, col_a = tokens[1]
-            b, col_b = tokens[2]
-            if a not in seen:
-                raise ParseError(f"unknown point {a!r}", lineno, col_a)
-            if b not in seen:
-                raise ParseError(f"unknown point {b!r}", lineno, col_b)
-            key = (a, b)
-            if key in nabla_hom or key in finite_hom:
-                raise ParseError(f"duplicate entry for ({a}, {b})", lineno, head_col)
+            key = _pair(hom, points, tokens, lineno)
             if kind == "nabla":
                 lit_col = tokens[3][1]
-                nabla_hom[key] = parse_step_literal(
+                hom[key] = parse_step_literal(
                     body[lit_col - 1 :], line=lineno, col_offset=lit_col - 1
                 )
             else:
@@ -689,12 +570,11 @@ def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
                         "'hom' takes a single element id here", lineno, head_col
                     )
                 v, col_v = tokens[3]
-                assert quantale is not None
-                if v not in set(quantale.elements):
+                if v not in elements:
                     raise ParseError(
                         f"{v!r} is not an element of the quantale", lineno, col_v
                     )
-                finite_hom[key] = v
+                hom[key] = v
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, head_col)
 
@@ -703,14 +583,12 @@ def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
     if not points:
         raise InputError("category file declares no points")
     if kind == "nabla":
-        return NablaCategory(points, nabla_hom)
+        return NablaCategory(points, hom)
     assert quantale is not None
-    return FiniteQCategory(quantale, points, finite_hom)
+    return FiniteQCategory(quantale, points, hom)
 
 
 def _load_quantale(path: str, base_path: Optional[str]) -> FiniteQuantale:
-    from .quantale_lab import parse_lattice
-
     full = path if base_path is None else os.path.join(base_path, path)
     try:
         with open(full, "r", encoding="utf-8") as fh:

@@ -15,11 +15,11 @@ definition verbatim on small carriers to pin the two together.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, ResourceBoundError
+from .errors import _known, _lines
 
 __all__ = [
     "FinitePreorder",
@@ -514,9 +514,6 @@ def is_isotone(
 # ---------------------------------------------------------------------------
 # The lattice file format.
 
-_WORD = re.compile(r"\S+")
-
-
 @dataclass(frozen=True)
 class LatticeFile:
     """Parsed contents of a lattice description file."""
@@ -539,19 +536,13 @@ def parse_lattice(text: str) -> LatticeFile:
     before use; the order is closed reflexively and transitively, and a
     cycle between distinct elements is a parse error.
     """
-    elements: list[str] = []
-    seen: set[str] = set()
+    elements: dict[str, None] = {}
     pairs: list[tuple[str, str]] = []
     op: dict[tuple[str, str], str] = {}
     unit: Optional[str] = None
     last_leq_line = 1
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        cut = raw.find("#")
-        body = raw[:cut] if cut >= 0 else raw
-        tokens = [(m.group(0), m.start() + 1) for m in _WORD.finditer(body)]
-        if not tokens:
-            continue
+    for lineno, _body, tokens in _lines(text):
         head, head_col = tokens[0]
         args = tokens[1:]
 
@@ -563,29 +554,26 @@ def parse_lattice(text: str) -> LatticeFile:
                     head_col,
                 )
 
-        def known(tok: str, col: int) -> str:
-            if tok not in seen:
-                raise ParseError(f"unknown element {tok!r}", lineno, col)
-            return tok
+        def known(token: tuple[str, int]) -> str:
+            return _known(elements, token, lineno, "element")
 
         if head == "elem":
             need(1)
             name, col = args[0]
-            if name in seen:
+            if name in elements:
                 raise ParseError(f"duplicate element {name!r}", lineno, col)
-            seen.add(name)
-            elements.append(name)
+            elements[name] = None
         elif head == "leq":
             need(2)
-            a = known(*args[0])
-            b = known(*args[1])
+            a = known(args[0])
+            b = known(args[1])
             pairs.append((a, b))
             last_leq_line = lineno
         elif head == "op":
             need(3)
-            a = known(*args[0])
-            b = known(*args[1])
-            c = known(*args[2])
+            a = known(args[0])
+            b = known(args[1])
+            c = known(args[2])
             if (a, b) in op:
                 raise ParseError(f"duplicate op entry for ({a}, {b})", lineno, head_col)
             op[(a, b)] = c
@@ -593,7 +581,7 @@ def parse_lattice(text: str) -> LatticeFile:
             need(1)
             if unit is not None:
                 raise ParseError("duplicate unit directive", lineno, head_col)
-            unit = known(*args[0])
+            unit = known(args[0])
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, head_col)
 

@@ -21,6 +21,7 @@ report on.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -268,8 +269,12 @@ def _table_axioms(pts: tuple[str, ...], w) -> tuple[bool, bool, bool, bool]:
     m3 = all(
         not (w(x, y) == ZERO and w(y, x) == ZERO) for x in pts for y in pts if x != y
     )
-    m4 = all(w(x, y) == w(y, x) for x in pts for y in pts)
-    return m1, m2, m3, m4
+    return m1, m2, m3, _is_symmetric(pts, w)
+
+
+def _is_symmetric(pts: tuple[str, ...], w) -> bool:
+    """Whether the table ``w`` on ``pts`` has ``w(x, y) == w(y, x)`` throughout."""
+    return all(w(x, y) == w(y, x) for x in pts for y in pts)
 
 
 def _step_axioms(space: StepModularSpace) -> AxiomReport:
@@ -279,32 +284,20 @@ def _step_axioms(space: StepModularSpace) -> AxiomReport:
 
 
 def _scaled_axioms(space: ScaledModularSpace) -> AxiomReport:
-    pts = space.points
-    m1 = all(space.d(x, x) == 0 for x in pts)
-    m2 = True
-    for x in pts:
-        for y in pts:
-            d1 = space.d(x, y)
-            for z in pts:
-                d2 = space.d(y, z)
-                gap = space.d(x, z) - d1 - d2
-                # The best split of t between the two legs yields the bound
-                # (sqrt(d1) + sqrt(d2))^2; comparing against it without
-                # radicals: gap <= 0 outright, or gap^2 <= 4 d1 d2.
-                if gap > 0 and gap * gap > 4 * d1 * d2:
-                    m2 = False
-                    break
-            if not m2:
-                break
-        if not m2:
-            break
-    m3 = all(
-        space.d(x, y) > 0 or space.d(y, x) > 0
-        for x in pts
-        for y in pts
-        if x != y
-    )
-    m4 = all(space.d(x, y) == space.d(y, x) for x in pts for y in pts)
+    pts, d = space.points, space.d
+    m1 = all(d(x, x) == 0 for x in pts)
+
+    def split(x: str, y: str, z: str) -> bool:
+        # The best split of t between the two legs yields the bound
+        # (sqrt(d1) + sqrt(d2))^2; comparing against it without radicals:
+        # gap <= 0 outright, or gap^2 <= 4 d1 d2.
+        d1, d2 = d(x, y), d(y, z)
+        gap = d(x, z) - d1 - d2
+        return gap <= 0 or gap * gap <= 4 * d1 * d2
+
+    m2 = all(split(x, y, z) for x in pts for y in pts for z in pts)
+    m3 = all(d(x, y) > 0 or d(y, x) > 0 for x in pts for y in pts if x != y)
+    m4 = _is_symmetric(pts, d)
     return AxiomReport(m1=m1, m2=m2, m3=m3, m4=m4, left_continuous=True)
 
 
@@ -560,26 +553,46 @@ def _minimal_masks(masks: set[int]) -> list[int]:
     return out
 
 
+def _nested_rows(first: list[list[int]], m: int) -> list[list[int]]:
+    """The rows, as bit masks ``rows[k][i]``, of ``m`` nested relations on
+    n points, where entry (i, j) belongs to relation k exactly when
+    ``k >= first[i][j]``: each entry is placed once, at its first index, and
+    every row is a prefix OR over k of what was placed."""
+    out = [[0] * len(first) for _ in range(m)]
+    for i, row in enumerate(first):
+        placed = [0] * (m + 1)
+        for j, k in enumerate(row):
+            placed[k] |= 1 << j
+        acc = 0
+        for k in range(m):
+            acc |= placed[k]
+            out[k][i] = acc
+    return out
+
+
+def _entourage_grid(space: Space, t: Fraction, eps: Iterable[Fraction]) -> list[list[int]]:
+    """The rows of U(t, e) = {(x, y) : w(t, x, y) < e} for every ``e`` of the
+    ascending ``eps``, as ``rows[k][i]``.  The table is evaluated once at
+    ``t``, and one bisection finds each entry's first ``e`` above it."""
+    es = [ext(e) for e in eps]
+    pts = space.points
+    return _nested_rows(
+        [[bisect_right(es, _w_eval(space, a, b, t)) for b in pts] for a in pts],
+        len(es),
+    )
+
+
 def _neighborhood_masks(space: Space) -> list[list[int]]:
     """For each point (by index), the inclusion-minimal candidate
-    neighborhoods as bit masks."""
-    pts = space.points
-    n = len(pts)
+    neighborhoods as bit masks.  The table is evaluated once per candidate
+    t, and the neighborhoods for all candidate eps are read off that one
+    evaluation."""
     t_cands, eps_cands = candidate_parameters(space)
-    raw: list[set[int]] = [set() for _ in range(n)]
+    raw: list[set[int]] = [set() for _ in space.points]
     for t in t_cands:
-        evals = [
-            [_w_eval(space, a, b, t) for b in pts] for a in pts
-        ]
-        for eps in eps_cands:
-            e = ext(eps)
-            for i in range(n):
-                row = evals[i]
-                m = 0
-                for j in range(n):
-                    if row[j] < e:
-                        m |= 1 << j
-                raw[i].add(m)
+        for rows in _entourage_grid(space, t, eps_cands):
+            for s, m in zip(raw, rows):
+                s.add(m)
     return [_minimal_masks(s) for s in raw]
 
 
@@ -646,13 +659,8 @@ def isolated_points(space: Space) -> frozenset[str]:
     """Points whose singleton is a candidate neighborhood of themselves.
     If all points qualify, both topologies are discrete; this avoids the
     subset enumeration, so it scales to large families."""
-    pts = space.points
     nb = _neighborhood_masks(space)
-    out = []
-    for i, p in enumerate(pts):
-        if (1 << i) in nb[i]:
-            out.append(p)
-    return frozenset(out)
+    return frozenset(p for i, p in enumerate(space.points) if 1 << i in nb[i])
 
 
 # ---------------------------------------------------------------------------
@@ -759,30 +767,6 @@ class QuasiUniformityReport:
         return self.diagonal and self.refinement and self.composition and self.countable
 
 
-def _entourage_rows(space: Space, t: Fraction, eps: Fraction, cache: dict) -> list[int]:
-    key = (t, eps)
-    rows = cache.get(key)
-    if rows is not None:
-        return rows
-    pts = space.points
-    n = len(pts)
-    evals = cache.get(("evals", t))
-    if evals is None:
-        evals = [[_w_eval(space, a, b, t) for b in pts] for a in pts]
-        cache[("evals", t)] = evals
-    e = ext(eps)
-    rows = []
-    for i in range(n):
-        row = evals[i]
-        m = 0
-        for j in range(n):
-            if row[j] < e:
-                m |= 1 << j
-        rows.append(m)
-    cache[key] = rows
-    return rows
-
-
 def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     """Check that candidate entourages behave as a base for a quasi
     uniformity: they contain the diagonal, refine pairwise, compose into
@@ -795,17 +779,21 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     U(t1, min eps), hence in U(t1, eps1), and likewise in U(t2, eps2), and
     both minima are grid candidates; a failing step of either sweep is
     itself a pair of grid entourages that does not refine.
+
+    The table is evaluated once per candidate t for the whole grid, once
+    per t at t/2 for the halved entourages of the composition check, and
+    once per distinct n0 for the countable chain.
     """
     t_cands, eps_cands = candidate_parameters(space)
     pts = space.points
     n = len(pts)
-    cache: dict = {}
+    # grid[a][k]: the rows of U(t_cands[a], eps_cands[k])
+    grid = [_entourage_grid(space, t, eps_cands) for t in t_cands]
     violations: list[str] = []
 
     diagonal = True
-    for t in t_cands:
-        for eps in eps_cands:
-            rows = _entourage_rows(space, t, eps, cache)
+    for t, by_eps in zip(t_cands, grid):
+        for eps, rows in zip(eps_cands, by_eps):
             for i in range(n):
                 if not rows[i] >> i & 1:
                     diagonal = False
@@ -814,28 +802,27 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
                     )
 
     refinement = True
-    for eps in eps_cands:
+    for k, eps in enumerate(eps_cands):
         prev = None
-        for t in t_cands:
-            rows = _entourage_rows(space, t, eps, cache)
+        for by_eps in grid:
+            rows = by_eps[k]
             if prev is not None and any(p & ~r for p, r in zip(prev, rows)):
                 refinement = False
                 violations.append(f"refinement: not monotone in t at eps={eps}")
             prev = rows
-    for t in t_cands:
+    for t, by_eps in zip(t_cands, grid):
         prev = None
-        for eps in eps_cands:
-            rows = _entourage_rows(space, t, eps, cache)
+        for rows in by_eps:
             if prev is not None and any(p & ~r for p, r in zip(prev, rows)):
                 refinement = False
                 violations.append(f"refinement: not monotone in eps at t={t}")
             prev = rows
 
     composition = True
-    for t in t_cands:
-        for eps in eps_cands:
-            full = _entourage_rows(space, t, eps, cache)
-            half = _entourage_rows(space, t / 2, eps / 2, cache)
+    half_eps = [eps / 2 for eps in eps_cands]
+    for t, by_eps in zip(t_cands, grid):
+        halves = _entourage_grid(space, t / 2, half_eps)
+        for eps, full, half in zip(eps_cands, by_eps, halves):
             for i in range(n):
                 acc = 0
                 m = half[i]
@@ -852,26 +839,24 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
                     break
 
     countable = True
-    for t in t_cands:
-        for eps in eps_cands:
+    chain: dict[int, list[int]] = {}
+    for t, by_eps in zip(t_cands, grid):
+        for eps, full in zip(eps_cands, by_eps):
             bound = min(t, eps)
-            n0 = (1 / bound).__ceil__() + 1
-            small = _entourage_rows(
-                space, Fraction(1, n0), Fraction(1, n0), cache
-            )
-            full = _entourage_rows(space, t, eps, cache)
-            if any(s & ~f for s, f in zip(small, full)):
+            n0 = -(-bound.denominator // bound.numerator) + 1  # ceil(1 / bound) + 1
+            if n0 not in chain:
+                chain[n0] = _entourage_grid(space, Fraction(1, n0), [Fraction(1, n0)])[0]
+            if any(s & ~f for s, f in zip(chain[n0], full)):
                 countable = False
                 violations.append(
                     f"countable: U(1/{n0}, 1/{n0}) escapes U(t={t}, eps={eps})"
                 )
 
     symmetric: Optional[bool] = None
-    if check_axioms(space).m4:
+    if _is_symmetric(pts, space._entry):
         symmetric = True
-        for t in t_cands:
-            for eps in eps_cands:
-                rows = _entourage_rows(space, t, eps, cache)
+        for t, by_eps in zip(t_cands, grid):
+            for eps, rows in zip(eps_cands, by_eps):
                 for i in range(n):
                     for j in range(n):
                         if bool(rows[i] >> j & 1) != bool(rows[j] >> i & 1):
@@ -1022,28 +1007,21 @@ def is_uniformly_continuous(m: PointMap) -> bool:
     """For every target entourage there is a source entourage whose pairs
     all land inside it.  The source base is downward directed with a
     minimum on the candidate grid, so only the finest source entourage
-    needs testing."""
+    needs testing.  Each target entourage is tested through its pullback,
+    the table w2(m(x), m(y)) on the source points, once per target t."""
     s_t, s_e = candidate_parameters(m.source)
     t_t, t_e = candidate_parameters(m.target)
     spts = m.source.points
-    n = len(spts)
-    cache: dict = {}
-    finest = _entourage_rows(m.source, min(s_t), min(s_e), cache)
-    for t2 in t_t:
-        evals = [
-            [eval_at(m.target.w(m(a), m(b)), t2) for b in spts] for a in spts
-        ]
-        for e2 in t_e:
-            e = ext(e2)
-            for i in range(n):
-                row = evals[i]
-                pre = 0
-                for j in range(n):
-                    if row[j] < e:
-                        pre |= 1 << j
-                if finest[i] & ~pre:
-                    return False
-    return True
+    finest = _entourage_grid(m.source, min(s_t), [min(s_e)])[0]
+    pullback = StepModularSpace(
+        spts, {(a, b): m.target.w(m(a), m(b)) for a in spts for b in spts}
+    )
+    return not any(
+        f & ~pre
+        for t2 in t_t
+        for rows in _entourage_grid(pullback, t2, t_e)
+        for f, pre in zip(finest, rows)
+    )
 
 
 def _scaled_pairs(m: PointMap):

@@ -32,6 +32,7 @@ from .modular import (
     _Table,
     _base_minimal_masks,
     _gate,
+    _nested_rows,
     _open_sets,
     _table_axioms,
     candidate_parameters,
@@ -51,6 +52,7 @@ from .stepfn import (
     StepFunction,
     as_fraction,
     ext,
+    first_well_below,
     format_step_literal,
     is_left_continuous,
     le_op,
@@ -329,19 +331,20 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
     radius sits between two grid radii, and its ball is then squeezed
     between theirs, so the generated topology is the same.  A set is open
     when every member lies in some ball (around any center) inside it.
+
+    Balls grow with eps, so per candidate t each hom is evaluated once and
+    :func:`first_well_below` finds the first eps whose ball takes it in;
+    the balls for every eps at that t follow from those indices.
     """
     _gate(cat, max_points)
     pts = cat.points
-    index = {p: i for i, p in enumerate(pts)}
     t_cands, eps_cands = candidate_parameters(e_nabla(cat))
+    eps = [ext(e) for e in eps_cands]
     base: set[int] = set()
     for t in t_cands:
-        for eps in eps_cands:
-            for z in pts:
-                m = 0
-                for y in ball(cat, z, t, eps):
-                    m |= 1 << index[y]
-                base.add(m)
+        first = [[first_well_below(t, eps, cat.hom(z, y)) for y in pts] for z in pts]
+        for rows in _nested_rows(first, len(eps)):
+            base.update(rows)
     return _open_sets(pts, _base_minimal_masks(base, len(pts)))
 
 
@@ -427,10 +430,7 @@ def lawvere_truncated_quantale(
         if e.is_infinite:
             has_inf = True
             continue
-        f = e.as_fraction()
-        if f < 0:
-            raise InputError(f"negative value {f}")
-        finite.add(f)
+        finite.add(e.as_fraction())  # ext() refuses negative values itself
     threshold = 2 * max(finite)
     positives = [f for f in finite if f > 0]
     if positives:

@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InputError, ParseError
 
@@ -50,6 +50,7 @@ __all__ = [
     "is_left_continuous",
     "well_below_top",
     "well_below_fstep",
+    "first_well_below",
     "time_rescale",
     "scale_values",
     "parse_step_literal",
@@ -564,6 +565,24 @@ def well_below_fstep(
     if eps_v.is_infinite:
         return g != BOTTOM
     return eval_at(g, t_f) < eps_v
+
+
+def first_well_below(t: RationalLike, eps: Sequence[ExtRational], g: StepFunction) -> int:
+    """The first index ``k`` with ``well_below_fstep(t, eps[k], g)``, or
+    ``len(eps)``, for radius values ``eps`` in ascending order (infinity
+    last).  The test is monotone in ``eps``, so one evaluation of ``g`` at
+    ``t`` and one bisection decide it for the whole list; at ``eps = inf``
+    the bottom element is still the one function that is not well below.
+    """
+    t_f = as_fraction(t)
+    if t_f.numerator <= 0:
+        raise InputError(f"threshold must be positive, got {t_f}")
+    if eps and eps[0]._num == 0:
+        raise InputError("radius value must be positive")
+    v = eval_at(g, t_f)
+    if not v.is_infinite:
+        return bisect_right(eps, v)
+    return len(eps) if g == BOTTOM else bisect_left(eps, INF)
 
 
 def time_rescale(f: StepFunction, k: RationalLike) -> StepFunction:

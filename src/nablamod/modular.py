@@ -20,17 +20,21 @@ report on.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Mapping, Optional, Union
+from operator import or_
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, ResourceBoundError
 from .errors import _lines, _pair, _point
 from .stepfn import (
     BOTTOM,
+    INF,
     ZERO,
     _conv,
     _from_int,
@@ -138,6 +142,19 @@ class _Table:
             return self._table[(x, y)]
         except KeyError:
             raise InputError(f"unknown pair ({x}, {y})") from None
+
+    _form: Optional["_SlotForm"] = None
+
+    def _slot_form(self) -> "_SlotForm":
+        """The :class:`_SlotForm` of a step table, built on first use."""
+        # Kept for the object's lifetime.  It cannot go stale: _Table has no
+        # mutator (the entry dict is filled once, in __init__, and step
+        # functions are immutable), and the cache sits on the object, so two
+        # tables sharing one dict, like a space and its e_mod, each build
+        # their own.
+        if self._form is None:
+            self._form = _build_slot_form(self.points, self._entry)
+        return self._form
 
     def all_homs(self) -> Iterable:
         return self._table.values()
@@ -443,45 +460,128 @@ def _midpoints(sorted_vals: list[Fraction]) -> list[Fraction]:
     ]
 
 
+def _eps_candidates(pool: set[Fraction]) -> tuple[Fraction, ...]:
+    """Midpoints between the consecutive values of ``pool`` (which holds 0)
+    plus one value above them all."""
+    if pool == {Fraction(0)}:
+        return (Fraction(1),)
+    sv = sorted(pool)
+    return tuple(_midpoints(sv) + [sv[-1] + 1])
+
+
 def candidate_parameters(space: Space) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The finite grid of (t, eps) pairs that generates the topology.
 
-    Step spaces: t runs over the pooled cut positions, the midpoints of the
-    gaps between them (the gap below the first cut included, which is what
-    captures behavior near parameter zero), and one value beyond the last
-    cut.  eps runs over midpoints between consecutive attained finite
-    values (zero included) plus one value above them all.  Between those
-    probes nothing about any neighborhood can change, so the grid is
-    exhaustive, not a sample.
+    Step tables (spaces, and categories with step homs): t runs over the
+    pooled cut positions, the midpoints of the gaps between them (the gap
+    below the first cut included, which is what captures behavior near
+    parameter zero), and one value beyond the last cut.  eps runs over
+    midpoints between consecutive attained finite values (zero included)
+    plus one value above them all.  Between those probes nothing about any
+    neighborhood can change, so the grid is exhaustive, not a sample.  Both
+    lists come from the table's slot form (:class:`_SlotForm`), built once
+    per table and kept, so the cut and value scans run once per table; the
+    candidate t number s lies in slot s.
 
     Scaled spaces: t = 1 suffices (only the product t * eps matters), with
     eps probing between the attained plain distances.
     """
     if isinstance(space, ScaledModularSpace):
-        t_cands = [Fraction(1)]
         pool = {Fraction(0)}
         pool.update(space.d(x, y) for x in space.points for y in space.points)
+        return (Fraction(1),), _eps_candidates(pool)
+    return space._slot_form().candidates
+
+
+class _SlotForm(NamedTuple):
+    """A step table read on one grid of slots.
+
+    ``pos`` holds the pooled cut positions of all entries and ``vals`` the
+    finite values they attain, both ascending.  Slot 0 is the open interval
+    before ``pos[0]``, slot ``2c - 1`` is the position ``pos[c - 1]`` itself
+    and slot ``2c`` the open interval after it, so every entry is constant
+    on every slot.  ``ranks[i][j][s]`` is the index in ``vals`` of entry
+    (i, j)'s value on slot s, and ``len(vals)`` for infinity.
+    ``candidates`` is :func:`candidate_parameters` of the table.
+
+    A verdict at parameter t then locates t once (:meth:`slot`), maps each
+    rank through a table of first indices built once per eps list
+    (:func:`_thresholds`), and never evaluates a step function.
+    """
+
+    pos: list[Fraction]
+    vals: list[Fraction]
+    ranks: list[list[list[int]]]
+    candidates: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+    def slot(self, t: RationalLike) -> int:
+        """The slot holding the parameter ``t > 0``, by one bisection
+        (cross-multiplied, as in :func:`eval_at`)."""
+        t = as_fraction(t)
+        n, d = t.numerator, t.denominator
+        pos = self.pos
+        lo, hi = 0, len(pos)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p = pos[mid]
+            if p.numerator * d < n * p.denominator:
+                lo = mid + 1
+            else:
+                hi = mid
+        at_cut = lo < len(pos) and pos[lo].numerator == n and pos[lo].denominator == d
+        return 2 * lo + 1 if at_cut else 2 * lo
+
+    def firsts(self, s: int, th: list[int]) -> list[list[int]]:
+        """``th[rank]`` for every entry's rank at slot ``s``."""
+        return [[th[r[s]] for r in row] for row in self.ranks]
+
+
+def _build_slot_form(pts: tuple[str, ...], entry) -> _SlotForm:
+    """The slot form of the step table ``entry`` on ``pts``: the entries go
+    to one integer scale once, and each entry's cuts are merged into the
+    pooled slots in one pass."""
+    n = len(pts)
+    p_scale, v_scale, ints = _to_ints(entry(a, b) for a in pts for b in pts)
+    ipos = sorted({p for _, cuts in ints for p, _, _ in cuts})
+    ivals = sorted(
+        {v for head, cuts in ints for v in (head, *(x for c in cuts for x in c[1:]))}
+        - {math.inf}
+    )
+    slot_of = {p: 2 * c + 1 for c, p in enumerate(ipos)}
+    rank = {v: r for r, v in enumerate(ivals)}
+    rank[math.inf] = len(ivals)
+    width = 2 * len(ipos) + 1
+
+    def merge(fi) -> list[int]:
+        head, cuts = fi
+        out, cur = [], rank[head]
+        for p, at, after in cuts:
+            out += [cur] * (slot_of[p] - len(out))
+            out.append(rank[at])
+            cur = rank[after]
+        out += [cur] * (width - len(out))
+        return out
+
+    pos = [Fraction(p, p_scale) for p in ipos]
+    vals = [Fraction(v, v_scale) for v in ivals]
+    if pos:
+        # midpoint of each gap, then the cut closing it, then one beyond
+        walls = [Fraction(0), *pos]
+        t_cands = [x for a, b in zip(walls, pos) for x in ((a + b) / 2, b)] + [pos[-1] + 1]
     else:
-        cuts = sorted({c.pos for f in space.all_homs() for c in f.cuts})
-        if not cuts:
-            t_cands = [Fraction(1)]
-        else:
-            walls = [Fraction(0), *cuts]
-            t_set = set(cuts)
-            t_set.update(_midpoints(walls))
-            t_set.add(cuts[-1] + 1)
-            t_cands = sorted(t_set)
-        pool = {Fraction(0)}
-        for f in space.all_homs():
-            for v in f.attained_values():
-                if not v.is_infinite:
-                    pool.add(v.as_fraction())
-    if pool == {Fraction(0)}:
-        eps_cands = [Fraction(1)]
-    else:
-        sv = sorted(pool)
-        eps_cands = _midpoints(sv) + [sv[-1] + 1]
-    return tuple(t_cands), tuple(eps_cands)
+        t_cands = [Fraction(1)]
+    return _SlotForm(
+        pos,
+        vals,
+        [[merge(ints[i * n + j]) for j in range(n)] for i in range(n)],
+        (tuple(t_cands), _eps_candidates({Fraction(0), *vals})),
+    )
+
+
+def _thresholds(vals: list[Fraction], es: list[ExtRational]) -> list[int]:
+    """For each rank of ``vals`` (infinity last), the first index of the
+    ascending ``es`` whose value lies above it: one bisection per value."""
+    return [bisect_right(es, ExtRational(v)) for v in vals] + [bisect_right(es, INF)]
 
 
 def _w_eval(space: Space, x: str, y: str, t: Fraction) -> ExtRational:
@@ -558,39 +658,52 @@ def _nested_rows(first: list[list[int]], m: int) -> list[list[int]]:
     n points, where entry (i, j) belongs to relation k exactly when
     ``k >= first[i][j]``: each entry is placed once, at its first index, and
     every row is a prefix OR over k of what was placed."""
-    out = [[0] * len(first) for _ in range(m)]
-    for i, row in enumerate(first):
+    by_point = []
+    for row in first:
         placed = [0] * (m + 1)
         for j, k in enumerate(row):
             placed[k] |= 1 << j
-        acc = 0
-        for k in range(m):
-            acc |= placed[k]
-            out[k][i] = acc
-    return out
+        by_point.append(accumulate(placed[:m], or_))
+    return [list(rows) for rows in zip(*by_point)]
+
+
+def _entourage_grids(space: Space, ts: Iterable[Fraction], eps: Iterable[Fraction]):
+    """For each parameter of ``ts``, the rows of U(t, e) = {(x, y) :
+    w(t, x, y) < e} for every ``e`` of the ascending ``eps``, as
+    ``rows[k][i]``.  A step table locates each t in its slot form and reads
+    every entry's first ``e`` above it off one rank table for the whole eps
+    list; a scaled table is evaluated once per t and each entry placed by
+    one bisection."""
+    es = [ext(e) for e in eps]
+    if isinstance(space, ScaledModularSpace):
+        pts = space.points
+        for t in ts:
+            yield _nested_rows(
+                [[bisect_right(es, space.w_at(t, a, b)) for b in pts] for a in pts],
+                len(es),
+            )
+        return
+    form = space._slot_form()
+    th = _thresholds(form.vals, es)
+    for t in ts:
+        yield _nested_rows(form.firsts(form.slot(t), th), len(es))
 
 
 def _entourage_grid(space: Space, t: Fraction, eps: Iterable[Fraction]) -> list[list[int]]:
-    """The rows of U(t, e) = {(x, y) : w(t, x, y) < e} for every ``e`` of the
-    ascending ``eps``, as ``rows[k][i]``.  The table is evaluated once at
-    ``t``, and one bisection finds each entry's first ``e`` above it."""
-    es = [ext(e) for e in eps]
-    pts = space.points
-    return _nested_rows(
-        [[bisect_right(es, _w_eval(space, a, b, t)) for b in pts] for a in pts],
-        len(es),
-    )
+    """The rows of U(t, e) for every ``e`` of the ascending ``eps``, as
+    ``rows[k][i]``; see :func:`_entourage_grids`."""
+    return next(_entourage_grids(space, [as_fraction(t)], eps))
 
 
 def _neighborhood_masks(space: Space) -> list[list[int]]:
     """For each point (by index), the inclusion-minimal candidate
-    neighborhoods as bit masks.  The table is evaluated once per candidate
-    t, and the neighborhoods for all candidate eps are read off that one
-    evaluation."""
+    neighborhoods as bit masks.  Each candidate t is one slot of the
+    table's slot form, and the neighborhoods for all candidate eps are read
+    off one rank table."""
     t_cands, eps_cands = candidate_parameters(space)
     raw: list[set[int]] = [set() for _ in space.points]
-    for t in t_cands:
-        for rows in _entourage_grid(space, t, eps_cands):
+    for by_eps in _entourage_grids(space, t_cands, eps_cands):
+        for rows in by_eps:
             for s, m in zip(raw, rows):
                 s.add(m)
     return [_minimal_masks(s) for s in raw]
@@ -780,15 +893,18 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     both minima are grid candidates; a failing step of either sweep is
     itself a pair of grid entourages that does not refine.
 
-    The table is evaluated once per candidate t for the whole grid, once
-    per t at t/2 for the halved entourages of the composition check, and
-    once per distinct n0 for the countable chain.
+    A step table is read through its slot form: the whole grid is one
+    rank table over the candidate eps applied at each candidate t's slot,
+    the halved entourages of the composition check one rank table over the
+    halved eps applied at the slot of each t/2, and the countable chain
+    one slot and one threshold per distinct n0.  Scaled tables are
+    evaluated at each of those parameters instead.
     """
     t_cands, eps_cands = candidate_parameters(space)
     pts = space.points
     n = len(pts)
     # grid[a][k]: the rows of U(t_cands[a], eps_cands[k])
-    grid = [_entourage_grid(space, t, eps_cands) for t in t_cands]
+    grid = list(_entourage_grids(space, t_cands, eps_cands))
     violations: list[str] = []
 
     diagonal = True
@@ -820,8 +936,8 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
 
     composition = True
     half_eps = [eps / 2 for eps in eps_cands]
-    for t, by_eps in zip(t_cands, grid):
-        halves = _entourage_grid(space, t / 2, half_eps)
+    half_grid = _entourage_grids(space, [t / 2 for t in t_cands], half_eps)
+    for t, by_eps, halves in zip(t_cands, grid, half_grid):
         for eps, full, half in zip(eps_cands, by_eps, halves):
             for i in range(n):
                 acc = 0
@@ -840,10 +956,16 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
 
     countable = True
     chain: dict[int, list[int]] = {}
+
+    def n0_of(x: Fraction) -> int:  # ceil(1 / x) + 1
+        return -(-x.denominator // x.numerator) + 1
+
+    # ceil(1 / x) falls as x grows, so the n0 of min(t, eps) is the larger n0
+    eps_n0 = [n0_of(eps) for eps in eps_cands]
     for t, by_eps in zip(t_cands, grid):
-        for eps, full in zip(eps_cands, by_eps):
-            bound = min(t, eps)
-            n0 = -(-bound.denominator // bound.numerator) + 1  # ceil(1 / bound) + 1
+        t_n0 = n0_of(t)
+        for eps, e_n0, full in zip(eps_cands, eps_n0, by_eps):
+            n0 = max(t_n0, e_n0)
             if n0 not in chain:
                 chain[n0] = _entourage_grid(space, Fraction(1, n0), [Fraction(1, n0)])[0]
             if any(s & ~f for s, f in zip(chain[n0], full)):
@@ -916,9 +1038,16 @@ def _step_pairs(m: PointMap):
             yield x, y, m.source.w(x, y), m.target.w(m(x), m(y))
 
 
+def _all_le(pairs: Iterable[tuple[StepFunction, StepFunction]]) -> bool:
+    """Whether ``le_op(f, g)`` holds for every pair, with all the pairs put
+    on one integer scale by a single conversion."""
+    ints = _to_ints(h for pair in pairs for h in pair)[2]
+    return all(_le(ints[k], ints[k + 1]) for k in range(0, len(ints), 2))
+
+
 def is_nonexpansive(m: PointMap) -> bool:
     """Distances may only shrink: w2(t, fx, fy) <= w1(t, x, y) throughout."""
-    return all(le_op(w1, w2) for _x, _y, w1, w2 in _step_pairs(m))
+    return _all_le((w1, w2) for _x, _y, w1, w2 in _step_pairs(m))
 
 
 def nonexpansive_violation(
@@ -970,9 +1099,7 @@ def is_lipschitz(m: PointMap) -> tuple[bool, Optional[Fraction]]:
     ordered = sorted(cands)
 
     def feasible(k: Fraction) -> bool:
-        return all(
-            le_op(w1, time_rescale(w2, k)) for _x, _y, w1, w2 in pairs
-        )
+        return _all_le((w1, time_rescale(w2, k)) for _x, _y, w1, w2 in pairs)
 
     if not feasible(ordered[-1]):
         return (False, None)
@@ -1008,18 +1135,21 @@ def is_uniformly_continuous(m: PointMap) -> bool:
     all land inside it.  The source base is downward directed with a
     minimum on the candidate grid, so only the finest source entourage
     needs testing.  Each target entourage is tested through its pullback,
-    the table w2(m(x), m(y)) on the source points, once per target t."""
+    the table w2(m(x), m(y)) on the source points: the target's slot form
+    with its rank rows re-indexed through the map, read once per target
+    candidate t against one rank table for the target's candidate eps."""
     s_t, s_e = candidate_parameters(m.source)
-    t_t, t_e = candidate_parameters(m.target)
-    spts = m.source.points
     finest = _entourage_grid(m.source, min(s_t), [min(s_e)])[0]
-    pullback = StepModularSpace(
-        spts, {(a, b): m.target.w(m(a), m(b)) for a in spts for b in spts}
-    )
+    form = m.target._slot_form()
+    t_t, t_e = form.candidates
+    index = {p: i for i, p in enumerate(m.target.points)}
+    img = [index[m(a)] for a in m.source.points]
+    pullback = form._replace(ranks=[[form.ranks[i][j] for j in img] for i in img])
+    th = _thresholds(form.vals, [ext(e) for e in t_e])
     return not any(
         f & ~pre
-        for t2 in t_t
-        for rows in _entourage_grid(pullback, t2, t_e)
+        for s in range(len(t_t))
+        for rows in _nested_rows(pullback.firsts(s, th), len(t_e))
         for f, pre in zip(finest, rows)
     )
 

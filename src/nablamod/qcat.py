@@ -20,6 +20,7 @@ by running them, not by appeal to a general theorem.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -30,6 +31,7 @@ from .modular import (
     PointMap,
     StepModularSpace,
     _Table,
+    _all_le,
     _base_minimal_masks,
     _gate,
     _nested_rows,
@@ -47,15 +49,16 @@ from .quantale_lab import (
     parse_lattice,
 )
 from .stepfn import (
+    BOTTOM,
+    INF,
     ExtRational,
     RationalLike,
     StepFunction,
     as_fraction,
     ext,
-    first_well_below,
     format_step_literal,
     is_left_continuous,
-    le_op,
+    le_op,  # not called here; bench/test_bench.py checks its tracer wraps this binding
     left_regularize,
     parse_step_literal,
     well_below_fstep,
@@ -283,10 +286,8 @@ def is_q_functor(m: PointMap) -> bool:
     """
     src, dst = m.source, m.target
     if isinstance(src, NablaCategory) and isinstance(dst, NablaCategory):
-        return all(
-            le_op(src.hom(x, y), dst.hom(m(x), m(y)))
-            for x in src.points
-            for y in src.points
+        return _all_le(
+            (src.hom(x, y), dst.hom(m(x), m(y))) for x in src.points for y in src.points
         )
     if isinstance(src, FiniteQCategory) and isinstance(dst, FiniteQCategory):
         if src.quantale.elements != dst.quantale.elements:
@@ -324,6 +325,34 @@ def ball(
     )
 
 
+def _ball_grids(cat: NablaCategory, ts: Iterable[Fraction], eps: Iterable[ExtRational]):
+    """For each parameter of ``ts``, the balls ``rows[k][z]`` around every
+    center z for every radius value of the ascending ``eps``, as bit masks.
+
+    Read off the category's own slot form, built from ``cat.hom``: t is
+    located once, and one rank table per eps list gives each hom's first
+    radius it is well below.  That is ``g(t) < eps`` for a finite value, so
+    a hom infinite at t enters only at ``eps = inf``, where every hom but
+    the bottom element is well below the (bottom) radius.
+    """
+    form = cat._slot_form()
+    pts = cat.points
+    es = [ext(e) for e in eps]
+    m = len(es)
+    th = [bisect_right(es, ExtRational(v)) for v in form.vals] + [bisect_left(es, INF)]
+    bottoms = [
+        (i, j)
+        for i, z in enumerate(pts)
+        for j, y in enumerate(pts)
+        if cat.hom(z, y) == BOTTOM
+    ]
+    for t in ts:
+        first = form.firsts(form.slot(t), th)
+        for i, j in bottoms:
+            first[i][j] = m
+        yield _nested_rows(first, m)
+
+
 def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology:
     """The topology with the open balls as a base.
 
@@ -332,19 +361,20 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
     between theirs, so the generated topology is the same.  A set is open
     when every member lies in some ball (around any center) inside it.
 
-    Balls grow with eps, so per candidate t each hom is evaluated once and
-    :func:`first_well_below` finds the first eps whose ball takes it in;
-    the balls for every eps at that t follow from those indices.
+    Balls grow with eps, so the category's slot form (built from its homs,
+    independently of any space) gives, per candidate t, each hom's first
+    candidate eps whose ball takes it in; the balls for every eps at that t
+    follow from those indices.
     """
     _gate(cat, max_points)
     pts = cat.points
-    t_cands, eps_cands = candidate_parameters(e_nabla(cat))
-    eps = [ext(e) for e in eps_cands]
-    base: set[int] = set()
-    for t in t_cands:
-        first = [[first_well_below(t, eps, cat.hom(z, y)) for y in pts] for z in pts]
-        for rows in _nested_rows(first, len(eps)):
-            base.update(rows)
+    t_cands, eps_cands = candidate_parameters(cat)
+    base = {
+        mask
+        for by_eps in _ball_grids(cat, t_cands, eps_cands)
+        for rows in by_eps
+        for mask in rows
+    }
     return _open_sets(pts, _base_minimal_masks(base, len(pts)))
 
 

@@ -3,9 +3,9 @@
 A space here is a finite point set with a distance function w(x, y) valued
 in non-increasing step functions of the parameter.  The axioms (vanishing
 diagonal, split triangle inequality, separation, symmetry) are checked
-exactly; the induced topology, entourage base, and induced plain distance
-are all computed from a finite candidate grid of parameters that provably
-suffices for step-valued distances.
+exactly; the entourage base is checked on a finite candidate grid of
+parameters that provably suffices for step-valued distances, and the induced
+topology and the continuity grades are read off its finest member.
 
 Two carriers are supported: :class:`StepModularSpace` with explicit step
 functions, and :class:`ScaledModularSpace` where w(t, x, y) = d(x, y) / t
@@ -470,21 +470,27 @@ def _eps_candidates(pool: set[Fraction]) -> tuple[Fraction, ...]:
 
 
 def candidate_parameters(space: Space) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The finite grid of (t, eps) pairs that generates the topology.
+    """The finite grid of (t, eps) pairs on which the entourages are read.
 
     Step tables (spaces, and categories with step homs): t runs over the
     pooled cut positions, the midpoints of the gaps between them (the gap
     below the first cut included, which is what captures behavior near
     parameter zero), and one value beyond the last cut.  eps runs over
     midpoints between consecutive attained finite values (zero included)
-    plus one value above them all.  Between those probes nothing about any
-    neighborhood can change, so the grid is exhaustive, not a sample.  Both
-    lists come from the table's slot form (:class:`_SlotForm`), built once
-    per table and kept, so the cut and value scans run once per table; the
-    candidate t number s lies in slot s.
+    plus one value above them all.  Between those probes no entourage can
+    change, so the grid is exhaustive, not a sample.  Both lists come from
+    the table's slot form (:class:`_SlotForm`), built once per table and
+    kept, so the cut and value scans run once per table; the candidate t
+    number s lies in slot s.
 
     Scaled spaces: t = 1 suffices (only the product t * eps matters), with
     eps probing between the attained plain distances.
+
+    The least t lies below every cut and the least eps below every positive
+    attained value, so the grid's finest entourage is the zero-head relation
+    of :func:`_vanishes`.  The uniformity check and ``ball_topology`` read
+    the whole grid; the topology and the continuity grades need only that
+    finest member.
     """
     if isinstance(space, ScaledModularSpace):
         pool = {Fraction(0)}
@@ -695,18 +701,29 @@ def _entourage_grid(space: Space, t: Fraction, eps: Iterable[Fraction]) -> list[
     return next(_entourage_grids(space, [as_fraction(t)], eps))
 
 
+def _vanishes(space: Space, x: str, y: str) -> bool:
+    """Whether (x, y) lies in the finest grid entourage U(min t, min eps):
+    the head of w(x, y) is 0 (for a scaled table, d(x, y) = 0).
+
+    Every step function is non-increasing, and so is d / t, so U(t, eps)
+    grows in t and in eps and every grid entourage contains this one.  The
+    least candidate t lies below every cut, where each entry takes its head,
+    and the least candidate eps lies below every positive attained value, so
+    only a zero head is below it."""
+    if isinstance(space, ScaledModularSpace):
+        return space.d(x, y) == 0
+    return space.w(x, y).head == ZERO.head
+
+
 def _neighborhood_masks(space: Space) -> list[list[int]]:
-    """For each point (by index), the inclusion-minimal candidate
-    neighborhoods as bit masks.  Each candidate t is one slot of the
-    table's slot form, and the neighborhoods for all candidate eps are read
-    off one rank table."""
-    t_cands, eps_cands = candidate_parameters(space)
-    raw: list[set[int]] = [set() for _ in space.points]
-    for by_eps in _entourage_grids(space, t_cands, eps_cands):
-        for rows in by_eps:
-            for s, m in zip(raw, rows):
-                s.add(m)
-    return [_minimal_masks(s) for s in raw]
+    """For each point (by index), its inclusion-minimal candidate
+    neighborhoods as bit masks.  There is exactly one: the point's row of
+    the finest grid entourage (:func:`_vanishes`), which every candidate
+    neighborhood contains.  O(n^2), no grid."""
+    pts = space.points
+    return [
+        [sum(1 << j for j, y in enumerate(pts) if _vanishes(space, x, y))] for x in pts
+    ]
 
 
 def _gate(space: Space, max_points: int) -> None:
@@ -886,18 +903,22 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     their doubles, and admit a countable cofinal chain; symmetry is
     reported when the space is symmetric and skipped otherwise.
 
-    Pairwise refinement is decided exactly by two monotonicity sweeps over
-    the grid, one in t and one in eps.  They are equivalent to the
-    two-entourage definition: if both pass, U(min t, min eps) lies in
-    U(t1, min eps), hence in U(t1, eps1), and likewise in U(t2, eps2), and
-    both minima are grid candidates; a failing step of either sweep is
-    itself a pair of grid entourages that does not refine.
+    Only the diagonal and composition are swept over the grid.  The other
+    three hold for every table the constructors admit, since every step
+    function is non-increasing, and so is d / t:
+
+    - refinement: U(t, eps) grows in t and in eps, so the grid member
+      U(min t, min eps) lies inside any two grid entourages;
+    - countable: for n0 with 1/n0 < min(t, eps), a pair of
+      U(1/n0, 1/n0) has w(t) <= w(1/n0) < 1/n0 < eps, so it lies in
+      U(t, eps);
+    - symmetry: on a symmetric table every U(t, eps) = {(x, y) :
+      w(t, x, y) < eps} is symmetric by definition.
 
     A step table is read through its slot form: the whole grid is one
     rank table over the candidate eps applied at each candidate t's slot,
-    the halved entourages of the composition check one rank table over the
-    halved eps applied at the slot of each t/2, and the countable chain
-    one slot and one threshold per distinct n0.  Scaled tables are
+    and the halved entourages of the composition check one rank table over
+    the halved eps applied at the slot of each t/2.  Scaled tables are
     evaluated at each of those parameters instead.
     """
     t_cands, eps_cands = candidate_parameters(space)
@@ -916,23 +937,6 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
                     violations.append(
                         f"diagonal: ({pts[i]}, {pts[i]}) escapes U(t={t}, eps={eps})"
                     )
-
-    refinement = True
-    for k, eps in enumerate(eps_cands):
-        prev = None
-        for by_eps in grid:
-            rows = by_eps[k]
-            if prev is not None and any(p & ~r for p, r in zip(prev, rows)):
-                refinement = False
-                violations.append(f"refinement: not monotone in t at eps={eps}")
-            prev = rows
-    for t, by_eps in zip(t_cands, grid):
-        prev = None
-        for rows in by_eps:
-            if prev is not None and any(p & ~r for p, r in zip(prev, rows)):
-                refinement = False
-                violations.append(f"refinement: not monotone in eps at t={t}")
-            prev = rows
 
     composition = True
     half_eps = [eps / 2 for eps in eps_cands]
@@ -954,46 +958,12 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
                     )
                     break
 
-    countable = True
-    chain: dict[int, list[int]] = {}
-
-    def n0_of(x: Fraction) -> int:  # ceil(1 / x) + 1
-        return -(-x.denominator // x.numerator) + 1
-
-    # ceil(1 / x) falls as x grows, so the n0 of min(t, eps) is the larger n0
-    eps_n0 = [n0_of(eps) for eps in eps_cands]
-    for t, by_eps in zip(t_cands, grid):
-        t_n0 = n0_of(t)
-        for eps, e_n0, full in zip(eps_cands, eps_n0, by_eps):
-            n0 = max(t_n0, e_n0)
-            if n0 not in chain:
-                chain[n0] = _entourage_grid(space, Fraction(1, n0), [Fraction(1, n0)])[0]
-            if any(s & ~f for s, f in zip(chain[n0], full)):
-                countable = False
-                violations.append(
-                    f"countable: U(1/{n0}, 1/{n0}) escapes U(t={t}, eps={eps})"
-                )
-
-    symmetric: Optional[bool] = None
-    if _is_symmetric(pts, space._entry):
-        symmetric = True
-        for t, by_eps in zip(t_cands, grid):
-            for eps, rows in zip(eps_cands, by_eps):
-                for i in range(n):
-                    for j in range(n):
-                        if bool(rows[i] >> j & 1) != bool(rows[j] >> i & 1):
-                            symmetric = False
-                            violations.append(
-                                f"symmetry: U(t={t}, eps={eps}) is asymmetric "
-                                f"on ({pts[i]}, {pts[j]})"
-                            )
-
     return QuasiUniformityReport(
         diagonal=diagonal,
-        refinement=refinement,
+        refinement=True,
         composition=composition,
-        countable=countable,
-        symmetric=symmetric,
+        countable=True,
+        symmetric=True if _is_symmetric(pts, space._entry) else None,
         violations=tuple(violations),
     )
 
@@ -1113,44 +1083,24 @@ def is_lipschitz(m: PointMap) -> tuple[bool, Optional[Fraction]]:
     return (True, ordered[lo])
 
 
-def _source_probe(space: StepModularSpace) -> Fraction:
-    cuts = [c.pos for f in space.all_homs() for c in f.cuts]
-    return min(cuts) / 2 if cuts else Fraction(1)
-
-
 def is_strongly_uniformly_continuous(m: PointMap) -> bool:
     """Image distances at any parameter must stay under the source distance
-    near parameter zero (probed below the first source cut)."""
-    s0 = _source_probe(m.source)
-    t_cands, _ = candidate_parameters(m.target)
-    for _x, _y, w1, w2 in _step_pairs(m):
-        bound = eval_at(w1, s0)
-        if any(eval_at(w2, t) > bound for t in t_cands):
-            return False
-    return True
+    near parameter zero.  Both sides are largest on their initial piece, so
+    this is head(w2(m(x), m(y))) <= head(w1(x, y)) for every pair."""
+    return all(w2.head <= w1.head for _x, _y, w1, w2 in _step_pairs(m))
 
 
 def is_uniformly_continuous(m: PointMap) -> bool:
     """For every target entourage there is a source entourage whose pairs
-    all land inside it.  The source base is downward directed with a
-    minimum on the candidate grid, so only the finest source entourage
-    needs testing.  Each target entourage is tested through its pullback,
-    the table w2(m(x), m(y)) on the source points: the target's slot form
-    with its rank rows re-indexed through the map, read once per target
-    candidate t against one rank table for the target's candidate eps."""
-    s_t, s_e = candidate_parameters(m.source)
-    finest = _entourage_grid(m.source, min(s_t), [min(s_e)])[0]
-    form = m.target._slot_form()
-    t_t, t_e = form.candidates
-    index = {p: i for i, p in enumerate(m.target.points)}
-    img = [index[m(a)] for a in m.source.points]
-    pullback = form._replace(ranks=[[form.ranks[i][j] for j in img] for i in img])
-    th = _thresholds(form.vals, [ext(e) for e in t_e])
-    return not any(
-        f & ~pre
-        for s in range(len(t_t))
-        for rows in _nested_rows(pullback.firsts(s, th), len(t_e))
-        for f, pre in zip(finest, rows)
+    all land inside it.  Each base has a finest member on its candidate grid
+    (:func:`_vanishes`) that every other member contains, so this holds
+    exactly when the finest source entourage maps into the finest target
+    entourage."""
+    return all(
+        _vanishes(m.target, m(x), m(y))
+        for x in m.source.points
+        for y in m.source.points
+        if _vanishes(m.source, x, y)
     )
 
 

@@ -573,6 +573,10 @@ def first_well_below(t: RationalLike, eps: Sequence[ExtRational], g: StepFunctio
     last).  The test is monotone in ``eps``, so one evaluation of ``g`` at
     ``t`` and one bisection decide it for the whole list; at ``eps = inf``
     the bottom element is still the one function that is not well below.
+
+    Nothing in the package calls it (``ball_topology`` reads its category's
+    slot form); it is kept as the per-radius reference that the ball-side
+    tests check against.
     """
     t_f = as_fraction(t)
     if t_f.numerator <= 0:

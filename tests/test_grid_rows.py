@@ -1,12 +1,13 @@
-"""The per-t threshold rows of the grid verdicts against per-cell oracles.
+"""The grid verdicts against per-cell oracles.
 
-``topology``, ``check_quasi_uniformity_base``, ``is_uniformly_continuous``
-and ``ball_topology`` evaluate each table once per candidate t and read the
-rows for every candidate eps off one bisection per entry.  The oracles
-below are the literal per-cell computations: ``neighborhood()`` and
-``ball()`` at every grid cell, ``well_below_fstep`` at every radius, and
-the per-(t, eps) versions of the uniformity check and of the uniform
-continuity test that the row kernel replaced.
+``check_quasi_uniformity_base`` and ``ball_topology`` read each table's
+slot form: one slot per candidate t, and the rows for every candidate eps
+off one rank table.  ``topology`` and ``is_uniformly_continuous`` read the
+finest grid entourage, the zero-head relation.  The oracles below are the
+literal per-cell computations: ``neighborhood()`` and ``ball()`` at every
+grid cell, ``well_below_fstep`` at every radius, and the per-(t, eps)
+versions of the uniformity check (all five sweeps) and of the uniform
+continuity test.
 """
 
 import random

@@ -1,8 +1,8 @@
 """The refinement verdict of ``check_quasi_uniformity_base`` against the
 literal two-entourage definition.
 
-The checker decides refinement by two monotonicity sweeps over the
-candidate grid, one in t and one in eps.  The definition it stands for
+The checker reports refinement from its proof: the entourages grow in t
+and in eps, so U(min t, min e) refines any two.  The definition it stands for
 asks, for every two grid parameters (t1, e1) and (t2, e2), that
 U(min t, min e) lie inside both U(t1, e1) and U(t2, e2).  The oracle below
 replays that definition on every pair of grid parameters.

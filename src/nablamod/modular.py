@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, ResourceBoundError
 from .errors import _lines, _pair, _point
+from .quantale_lab import FinitePreorder
 from .stepfn import (
     BOTTOM,
     INF,
@@ -627,7 +628,13 @@ def entourage(
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """An explicit family of open subsets of a finite point set."""
+    """An explicit family of open subsets of a finite point set.
+
+    :func:`topology` always returns a topology.  :func:`metric_ball_topology`
+    and :func:`nablamod.qcat.ball_topology` return the unions of their
+    generators, which may fail :meth:`validate`: the first is a topology
+    when the table has m1 and m2, the second when the table is also
+    left-continuous.  So the family is kept explicitly."""
 
     points: tuple[str, ...]
     opens: frozenset[frozenset[str]]
@@ -649,14 +656,6 @@ class FiniteTopology:
 
     def is_discrete(self) -> bool:
         return all(frozenset([p]) in self.opens for p in self.points)
-
-
-def _minimal_masks(masks: set[int]) -> list[int]:
-    out = []
-    for m in sorted(masks, key=int.bit_count):
-        if not any(prev & m == prev for prev in out):
-            out.append(m)
-    return out
 
 
 def _nested_rows(first: list[list[int]], m: int) -> list[list[int]]:
@@ -734,61 +733,52 @@ def _gate(space: Space, max_points: int) -> None:
         )
 
 
-def _base_minimal_masks(base: Iterable[int], n: int) -> list[list[int]]:
-    """For each point (by index), the inclusion-minimal members of a base
-    (given as bit masks) that contain it."""
-    per_point: list[set[int]] = [set() for _ in range(n)]
-    for m in base:
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            per_point[j].add(m)
-    return [_minimal_masks(s) for s in per_point]
+def _unions(points: tuple[str, ...], gens: Iterable[int]) -> FiniteTopology:
+    """All unions of the generator bit masks, the empty union included.
 
-
-def _open_sets(points: tuple[str, ...], minimal: list[list[int]]) -> FiniteTopology:
-    """Scan all 2^n subsets: a set is open when each member ``i`` has one of
-    the masks ``minimal[i]`` inside it."""
+    Generators are taken smallest first; one already in the family is a
+    union of earlier ones and adds nothing, so it is skipped."""
+    fam = {0}
+    for g in sorted(gens, key=int.bit_count):
+        if g not in fam:
+            fam |= {f | g for f in fam}
     n = len(points)
-    good = []
-    for g in range(1 << n):
-        ok = True
-        m = g
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if not any(mask & ~g == 0 for mask in minimal[i]):
-                ok = False
-                break
-        if ok:
-            good.append(g)
     opens = frozenset(
-        frozenset(points[j] for j in range(n) if g >> j & 1) for g in good
+        frozenset(points[j] for j in range(n) if g >> j & 1) for g in fam
     )
     return FiniteTopology(points=points, opens=opens)
 
 
 def topology(space: Space, *, max_points: int = 12) -> FiniteTopology:
     """The parameter topology: a set is open when every member has some
-    candidate neighborhood (centered at itself) inside the set."""
+    candidate neighborhood (centered at itself) inside the set.
+
+    Each point's zero-head row (:func:`_vanishes`) is its minimal candidate
+    neighborhood, so the open sets are the up-sets of the specialization
+    preorder, the reflexive-transitive closure of the zero-head relation:
+    the unions of its up-rows.  The closure is needed because on a table
+    without m1 or m2 the relation need not be reflexive or transitive."""
     _gate(space, max_points)
-    return _open_sets(space.points, _neighborhood_masks(space))
+    pts = space.points
+    pre = FinitePreorder(pts, [(x, y) for x in pts for y in pts if _vanishes(space, x, y)])
+    return _unions(pts, pre._up)
 
 
 def metric_ball_topology(space: Space, *, max_points: int = 12) -> FiniteTopology:
-    """The topology generated by all candidate neighborhoods as a base:
-    a set is open when every member lies in some neighborhood (any center)
-    contained in the set."""
+    """The unions of the points' zero-head rows (:func:`_neighborhood_masks`,
+    each point's minimal candidate neighborhood), the empty union included:
+    a set is open when every member lies in some zero-head row (any center)
+    contained in the set.  Other candidate neighborhoods are not used.  The
+    family is a topology when the table has m1 and m2; otherwise it may fail
+    :meth:`FiniteTopology.validate`."""
     _gate(space, max_points)
-    base = {m for masks in _neighborhood_masks(space) for m in masks}
-    return _open_sets(space.points, _base_minimal_masks(base, len(space.points)))
+    return _unions(space.points, [m for masks in _neighborhood_masks(space) for m in masks])
 
 
 def isolated_points(space: Space) -> frozenset[str]:
     """Points whose singleton is a candidate neighborhood of themselves.
-    If all points qualify, both topologies are discrete; this avoids the
-    subset enumeration, so it scales to large families."""
+    If all points qualify, both topologies are discrete; this builds no
+    open set, so it scales to large families."""
     nb = _neighborhood_masks(space)
     return frozenset(p for i, p in enumerate(space.points) if 1 << i in nb[i])
 

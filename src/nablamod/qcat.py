@@ -32,11 +32,10 @@ from .modular import (
     StepModularSpace,
     _Table,
     _all_le,
-    _base_minimal_masks,
     _gate,
     _nested_rows,
-    _open_sets,
     _table_axioms,
+    _unions,
     candidate_parameters,
     regularize,
     topology,
@@ -354,12 +353,14 @@ def _ball_grids(cat: NablaCategory, ts: Iterable[Fraction], eps: Iterable[ExtRat
 
 
 def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology:
-    """The topology with the open balls as a base.
+    """The unions of the open balls, the empty union included: a set is
+    open when every member lies in some ball (around any center) inside it.
+    The family is a topology when the table has m1 and m2 and is
+    left-continuous; otherwise it may fail :meth:`FiniteTopology.validate`.
 
     Only step radii over the finite candidate grid are used: any other
     radius sits between two grid radii, and its ball is then squeezed
-    between theirs, so the generated topology is the same.  A set is open
-    when every member lies in some ball (around any center) inside it.
+    between theirs, so the unions are the same.
 
     Balls grow with eps, so the category's slot form (built from its homs,
     independently of any space) gives, per candidate t, each hom's first
@@ -375,7 +376,7 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
         for rows in by_eps
         for mask in rows
     }
-    return _open_sets(pts, _base_minimal_masks(base, len(pts)))
+    return _unions(pts, base)
 
 
 def verify_topology_theorem(space: StepModularSpace) -> bool:

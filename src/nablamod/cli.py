@@ -9,8 +9,9 @@ its verdict through the exit status:
 2   unreadable or malformed input
 3   a resource bound was exceeded
 
-The only environment variable consulted is ``NABLA_MAX_POINTS``, which
-overrides the topology enumeration bound (default 12).
+The only environment variable consulted is ``NABLA_MAX_POINTS``, the
+point bound (default 12) of ``topology``, which enumerates open sets, and
+of ``verify``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ from .errors import ContractError, InputError, ParseError, ResourceBoundError, _
 from .modular import (
     ScaledModularSpace,
     StepModularSpace,
+    _gate,
+    _neighborhood_masks,
+    _presents,
+    _specialization,
     check_axioms,
     check_quasi_uniformity_base,
     entourage,
     format_space,
     induced_distance,
-    metric_ball_topology,
     parse_space,
     random_closed_space,
     regularize,
@@ -199,25 +203,14 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _verify_space(space: Union[StepModularSpace, ScaledModularSpace]) -> list[tuple[str, bool]]:
-    bound = _max_points()
+    _gate(space, _max_points())
     results = [("quasi_uniformity_base", check_quasi_uniformity_base(space).ok)]
     if isinstance(space, StepModularSpace):
         results.append(("regularization_diagram", verify_diagram(space)))
-        results.append(
-            (
-                "ball_topology_equality",
-                topology(space, max_points=bound)
-                == ball_topology(e_mod(space), max_points=bound),
-            )
-        )
+        results.append(("ball_topology_equality", verify_topology_theorem(space)))
     else:
-        results.append(
-            (
-                "metric_ball_topology_equality",
-                topology(space, max_points=bound)
-                == metric_ball_topology(space, max_points=bound),
-            )
-        )
+        same = _presents(_specialization(space), [m for (m,) in _neighborhood_masks(space)])
+        results.append(("metric_ball_topology_equality", same))
     return results
 
 

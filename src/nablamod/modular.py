@@ -749,19 +749,36 @@ def _unions(points: tuple[str, ...], gens: Iterable[int]) -> FiniteTopology:
     return FiniteTopology(points=points, opens=opens)
 
 
+def _specialization(space: Space) -> list[int]:
+    """The up-rows of the specialization preorder, as bit masks: the
+    reflexive-transitive closure of the zero-head relation (:func:`_vanishes`),
+    which on a table without m1 or m2 need not be reflexive or transitive."""
+    pts = space.points
+    return FinitePreorder(pts, [(x, y) for x in pts for y in pts if _vanishes(space, x, y)])._up
+
+
+def _presents(up: list[int], gens: Iterable[int]) -> bool:
+    """Whether the unions of the generator masks are exactly the up-sets of
+    the preorder with up-rows ``up``, without building either family.
+
+    They are iff every generator is an up-set and every up-row a generator:
+    then unions of generators are up-sets and up-sets unions of up-rows.
+    Conversely each generator is a union, so an up-set, and up[i] is a union,
+    so some generator holds i inside up[i], and that up-set contains up[i].
+    Whether the unions form a topology does not matter."""
+    fam, bits = set(gens), range(len(up))
+    return set(up) <= fam and all(up[i] | g == g for g in fam for i in bits if g >> i & 1)
+
+
 def topology(space: Space, *, max_points: int = 12) -> FiniteTopology:
     """The parameter topology: a set is open when every member has some
     candidate neighborhood (centered at itself) inside the set.
 
     Each point's zero-head row (:func:`_vanishes`) is its minimal candidate
     neighborhood, so the open sets are the up-sets of the specialization
-    preorder, the reflexive-transitive closure of the zero-head relation:
-    the unions of its up-rows.  The closure is needed because on a table
-    without m1 or m2 the relation need not be reflexive or transitive."""
+    preorder (:func:`_specialization`): the unions of its up-rows."""
     _gate(space, max_points)
-    pts = space.points
-    pre = FinitePreorder(pts, [(x, y) for x in pts for y in pts if _vanishes(space, x, y)])
-    return _unions(pts, pre._up)
+    return _unions(space.points, _specialization(space))
 
 
 def metric_ball_topology(space: Space, *, max_points: int = 12) -> FiniteTopology:

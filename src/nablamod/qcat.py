@@ -34,11 +34,12 @@ from .modular import (
     _all_le,
     _gate,
     _nested_rows,
+    _presents,
+    _specialization,
     _table_axioms,
     _unions,
     candidate_parameters,
     regularize,
-    topology,
 )
 from .quantale_lab import (
     FinitePoset,
@@ -360,29 +361,29 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
 
     Only step radii over the finite candidate grid are used: any other
     radius sits between two grid radii, and its ball is then squeezed
-    between theirs, so the unions are the same.
-
-    Balls grow with eps, so the category's slot form (built from its homs,
-    independently of any space) gives, per candidate t, each hom's first
-    candidate eps whose ball takes it in; the balls for every eps at that t
-    follow from those indices.
+    between theirs, so the unions are the same (:func:`_balls`).
     """
     _gate(cat, max_points)
-    pts = cat.points
+    return _unions(cat.points, _balls(cat))
+
+
+def _balls(cat: NablaCategory) -> set[int]:
+    """Every ball of the candidate grid, around every center, as a bit mask.
+    Balls grow with eps, so the category's slot form (built from its homs,
+    independently of any space) gives, per candidate t, each hom's first
+    candidate eps whose ball takes it in (:func:`_ball_grids`)."""
     t_cands, eps_cands = candidate_parameters(cat)
-    base = {
-        mask
-        for by_eps in _ball_grids(cat, t_cands, eps_cands)
-        for rows in by_eps
-        for mask in rows
-    }
-    return _unions(pts, base)
+    return {m for by_eps in _ball_grids(cat, t_cands, eps_cands) for rows in by_eps for m in rows}
 
 
 def verify_topology_theorem(space: StepModularSpace) -> bool:
-    """The parameter topology of a space must coincide with the open-ball
-    topology of its categorical presentation."""
-    return topology(space) == ball_topology(e_mod(space))
+    """Whether the parameter topology of a space coincides with the
+    open-ball topology of its categorical presentation, decided from
+    generators (:func:`nablamod.modular._presents`): the balls must generate
+    exactly the up-sets of the space's specialization preorder.  It builds
+    no family of open sets, so unlike ``topology`` and :func:`ball_topology`
+    it is not gated on the point count."""
+    return _presents(_specialization(space), _balls(e_mod(space)))
 
 
 # ---------------------------------------------------------------------------

@@ -253,9 +253,6 @@ class StepFunction:
             vals.add(c.after)
         return vals
 
-    def is_constant(self) -> bool:
-        return not self.cuts
-
 
 ZERO = StepFunction(0)
 BOTTOM = StepFunction(INF)

@@ -239,6 +239,54 @@ def test_verify_needs_some_input():
     assert r.returncode == 2
 
 
+def test_verify_ball_topology_fails_without_left_continuity(tmp_path):
+    # m1 and m2 hold, but w(a, x) drops to 0 at its cut, so the ball around a
+    # at t = 1 takes x without y and the balls generate no topology
+    f = tmp_path / "drop.space"
+    f.write_text(
+        "space step\npoint a\npoint x\npoint y\n"
+        "w a x step head=2 cut=1 at=0 after=0\n"
+        "w a y step head=2 cut=1 at=2 after=0\n"
+        "w x y step head=0\nw y x step head=0\n"
+        "w x a step head=inf\nw y a step head=inf\n"
+    )
+    r = run("verify", f)
+    assert (r.returncode, r.stderr) == (1, "")
+    assert r.stdout == (
+        "quasi_uniformity_base PASS\nregularization_diagram PASS\n"
+        "ball_topology_equality FAIL\n"
+    )
+
+
+def test_verify_scaled_without_triangle_fails(tmp_path):
+    # d(a, b) = d(b, c) = 0 but d(a, c) = 1: the zero rows are not up-sets
+    f = tmp_path / "bent.scaled"
+    f.write_text(
+        "space scaled\npoint a\npoint b\npoint c\n"
+        "d a b 0\nd b c 0\nd a c 1\nd b a 1\nd c a 1\nd c b 1\n"
+    )
+    r = run("verify", f)
+    assert (r.returncode, r.stderr) == (1, "")
+    assert r.stdout == "quasi_uniformity_base FAIL\nmetric_ball_topology_equality FAIL\n"
+
+
+def test_verify_point_gate(tmp_path):
+    pts = [f"q{i}" for i in range(13)]
+    lines = ["space step"] + [f"point {p}" for p in pts]
+    lines += [f"w {a} {b} step head=0" for a in pts for b in pts if a != b]
+    f = tmp_path / "big.space"
+    f.write_text("\n".join(lines) + "\n")
+    r = run("verify", f)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "error: topology enumeration over 13 points exceeds the limit of 12\n"
+    lifted = run("verify", f, env_extra={"NABLA_MAX_POINTS": "13"})
+    assert (lifted.returncode, lifted.stderr) == (0, "")
+    assert lifted.stdout == (
+        "quasi_uniformity_base PASS\nregularization_diagram PASS\n"
+        "ball_topology_equality PASS\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # lattice.
 

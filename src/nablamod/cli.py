@@ -17,6 +17,7 @@ of ``verify``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -266,6 +267,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 # Entry point.
 
 
+# Built on the first call and reused: building the tree costs far more than
+# one parse, and a process may call ``main`` many times.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nablamod",

@@ -274,15 +274,21 @@ def _table_axioms(pts: tuple[str, ...], w) -> tuple[bool, bool, bool, bool]:
     """Vanishing diagonal, split triangle inequality (``w(x, z)`` pointwise
     at most ``oplus_interior(w(x, y), w(y, z))``), separation and symmetry of
     a step table; read as a category: qc1, qc2, separated, symmetric.  The
-    n^3 convolutions run on one integer scale and never touch a Fraction."""
-    n = len(pts)
+    convolutions run on one integer scale and never touch a Fraction.
+
+    The quantale is integral (its unit, the zero function, is its top), so
+    ``a * b <= a * top = a`` in its order: a convolution is pointwise at
+    least either leg.  A triple whose target lies pointwise under a leg holds
+    without convolving; that decides every triple with x == y or y == z."""
     tbl = _int_table(pts, w)[2]
     m1 = all(w(x, x) == ZERO for x in pts)
     m2 = all(
-        _le(_conv(tbl[i][j], tbl[j][k], False), tbl[i][k])
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
+        _le(a, c) or _le(b, c) or _le(_conv(a, b, False), c)
+        for i, row in enumerate(tbl)
+        for j, a in enumerate(row)
+        if j != i
+        for k, (b, c) in enumerate(zip(tbl[j], row))
+        if k != j
     )
     m3 = all(
         not (w(x, y) == ZERO and w(y, x) == ZERO) for x in pts for y in pts if x != y
@@ -392,6 +398,11 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
 
     Requires a vanishing diagonal; with it, the relaxed table keeps the
     diagonal at zero and dominates no entry it started with.
+
+    By integrality, ``a * b <= a * top = a`` in the quantale's order, a
+    convolution is pointwise at least either leg.  So no convolution runs
+    for an entry already pointwise under ``w(i, k)`` or ``w(k, j)``, nor for
+    the diagonal, which is the top.
     """
     pts = space.points
     for x in pts:
@@ -405,11 +416,14 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
                 continue
             left = tbl[i][k]
             for j in range(n):
-                if j == k:
+                if j == k or j == i:
                     continue
-                via = _conv(left, tbl[k][j], True)
-                if not _le(via, tbl[i][j]):
-                    tbl[i][j] = _pointwise_int([tbl[i][j], via], min)
+                right, cur = tbl[k][j], tbl[i][j]
+                if _le(left, cur) or _le(right, cur):
+                    continue
+                via = _conv(left, right, True)
+                if not _le(via, cur):
+                    tbl[i][j] = _pointwise_int([cur, via], min)
     back = [[_from_int(fi, p_scale, v_scale) for fi in row] for row in tbl]
     return StepModularSpace(
         pts, {(a, b): back[i][j] for i, a in enumerate(pts) for j, b in enumerate(pts)}

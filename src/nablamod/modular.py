@@ -25,7 +25,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import isqrt
 from operator import or_
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -37,10 +37,15 @@ from .stepfn import (
     BOTTOM,
     INF,
     ZERO,
-    _conv,
-    _from_int,
+    _atoms,
+    _conv,  # not called here; tests/test_dominance_bound.py calls and counts it through here
+    _finite_values,
+    _from_ints,
+    _int_table,
     _le,
+    _least_scales,
     _pointwise_int,
+    _sweep,
     _to_ints,
     ExtRational,
     RationalLike,
@@ -49,7 +54,6 @@ from .stepfn import (
     eval_at,
     ext,
     format_step_literal,
-    is_left_continuous,
     le_op,
     left_regularize,
     oplus,  # not called here; bench/test_bench.py checks its tracer wraps this binding
@@ -144,15 +148,22 @@ class _Table:
         except KeyError:
             raise InputError(f"unknown pair ({x}, {y})") from None
 
+    _ints: Optional[tuple[int, int, list[list]]] = None
     _form: Optional["_SlotForm"] = None
+
+    # Both forms are kept for the object's lifetime and never go stale: _Table
+    # has no mutator, step functions are immutable, callers never mutate the
+    # lists, and a space and its e_mod share one dict but build their own.
+
+    def _int_form(self) -> tuple[int, int, list[list]]:
+        """:func:`_int_table` of a step table, built on first use (or set by
+        :func:`triangle_closure` on the table it returns)."""
+        if self._ints is None:
+            self._ints = _int_table(self.points, self._entry)
+        return self._ints
 
     def _slot_form(self) -> "_SlotForm":
         """The :class:`_SlotForm` of a step table, built on first use."""
-        # Kept for the object's lifetime.  It cannot go stale: _Table has no
-        # mutator (the entry dict is filled once, in __init__, and step
-        # functions are immutable), and the cache sits on the object, so two
-        # tables sharing one dict, like a space and its e_mod, each build
-        # their own.
         if self._form is None:
             self._form = _build_slot_form(self.points, self._entry)
         return self._form
@@ -263,48 +274,42 @@ class AxiomReport:
     left_continuous: bool
 
 
-def _int_table(pts: tuple[str, ...], w) -> tuple[int, int, list[list]]:
-    """The table ``w`` on ``pts`` in integer form, on one pair of scales."""
-    n = len(pts)
-    p_scale, v_scale, flat = _to_ints(w(a, b) for a in pts for b in pts)
-    return p_scale, v_scale, [flat[i * n : (i + 1) * n] for i in range(n)]
-
-
-def _table_axioms(pts: tuple[str, ...], w) -> tuple[bool, bool, bool, bool]:
+def _table_axioms(table: _Table) -> tuple[bool, bool, bool, bool, bool]:
     """Vanishing diagonal, split triangle inequality (``w(x, z)`` pointwise
-    at most ``oplus_interior(w(x, y), w(y, z))``), separation and symmetry of
-    a step table; read as a category: qc1, qc2, separated, symmetric.  The
-    convolutions run on one integer scale and never touch a Fraction.
+    at most ``oplus_interior(w(x, y), w(y, z))``), separation, symmetry and
+    left continuity of a step table; read as a category, the first four are
+    qc1, qc2, separated and symmetric.
+
+    All five read the table's integer form (:meth:`_Table._int_form`).  Its
+    entries are canonical, so m1, m3 and m4 compare them with ``(0, ())``
+    (``ZERO`` on every scale) and with their transposes, and an entry is
+    left-continuous when each cut's ``at`` is the value before it.
 
     The quantale is integral (its unit, the zero function, is its top), so
     ``a * b <= a * top = a`` in its order: a convolution is pointwise at
     least either leg.  A triple whose target lies pointwise under a leg holds
     without convolving; that decides every triple with x == y or y == z."""
-    tbl = _int_table(pts, w)[2]
-    m1 = all(w(x, x) == ZERO for x in pts)
+    tbl = table._int_form()[2]
+    n = len(tbl)
+    atoms = [[_atoms(f, False) for f in row] for row in tbl]
+    m1 = all(tbl[i][i] == (0, ()) for i in range(n))
     m2 = all(
-        _le(a, c) or _le(b, c) or _le(_conv(a, b, False), c)
+        _le(a, c) or _le(b, c) or _le(_sweep(atoms[i][j], atoms[j][k]), c)
         for i, row in enumerate(tbl)
         for j, a in enumerate(row)
         if j != i
         for k, (b, c) in enumerate(zip(tbl[j], row))
         if k != j
     )
-    m3 = all(
-        not (w(x, y) == ZERO and w(y, x) == ZERO) for x in pts for y in pts if x != y
+    m3 = not any(tbl[i][j] == (0, ()) == tbl[j][i] for i in range(n) for j in range(i))
+    m4 = all(tbl[i][j] == tbl[j][i] for i in range(n) for j in range(i))
+    lc = all(
+        at == prev
+        for row in tbl
+        for head, cuts in row
+        for (_, at, _), prev in zip(cuts, (head, *(c[2] for c in cuts)))
     )
-    return m1, m2, m3, _is_symmetric(pts, w)
-
-
-def _is_symmetric(pts: tuple[str, ...], w) -> bool:
-    """Whether the table ``w`` on ``pts`` has ``w(x, y) == w(y, x)`` throughout."""
-    return all(w(x, y) == w(y, x) for x in pts for y in pts)
-
-
-def _step_axioms(space: StepModularSpace) -> AxiomReport:
-    m1, m2, m3, m4 = _table_axioms(space.points, space.w)
-    lc = all(is_left_continuous(f) for f in space.all_homs())
-    return AxiomReport(m1=m1, m2=m2, m3=m3, m4=m4, left_continuous=lc)
+    return m1, m2, m3, m4, lc
 
 
 def _scaled_axioms(space: ScaledModularSpace) -> AxiomReport:
@@ -321,7 +326,7 @@ def _scaled_axioms(space: ScaledModularSpace) -> AxiomReport:
 
     m2 = all(split(x, y, z) for x in pts for y in pts for z in pts)
     m3 = all(d(x, y) > 0 or d(y, x) > 0 for x in pts for y in pts if x != y)
-    m4 = _is_symmetric(pts, d)
+    m4 = all(d(x, y) == d(y, x) for x in pts for y in pts)
     return AxiomReport(m1=m1, m2=m2, m3=m3, m4=m4, left_continuous=True)
 
 
@@ -335,7 +340,7 @@ def check_axioms(space: Space) -> AxiomReport:
     """
     if isinstance(space, ScaledModularSpace):
         return _scaled_axioms(space)
-    return _step_axioms(space)
+    return AxiomReport(*_table_axioms(space))
 
 
 # ---------------------------------------------------------------------------
@@ -393,41 +398,46 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
     triangle inequality (pointwise, ``oplus`` never exceeds
     ``oplus_interior``).  It is not always the pointwise largest such table:
     closing under ``oplus_interior`` instead keeps larger ``at`` values at
-    left jumps.  The whole table runs on one integer scale and is converted
-    back once at the end.
+    left jumps.  The whole relaxation runs on the table's integer form, with
+    each entry's atoms built once and rebuilt only when the entry is relaxed.
+    The relaxed table, on its least scales, is kept as the returned space's
+    integer form (:meth:`_Table._int_form`), which the axiom check reads.
 
     Requires a vanishing diagonal; with it, the relaxed table keeps the
     diagonal at zero and dominates no entry it started with.
 
-    By integrality, ``a * b <= a * top = a`` in the quantale's order, a
-    convolution is pointwise at least either leg.  So no convolution runs
-    for an entry already pointwise under ``w(i, k)`` or ``w(k, j)``, nor for
-    the diagonal, which is the top.
+    By integrality (see :func:`_table_axioms`), no convolution runs for an
+    entry already pointwise under ``w(i, k)`` or ``w(k, j)``, nor for the
+    diagonal, which is the top.
     """
     pts = space.points
-    for x in pts:
-        if space.w(x, x) != ZERO:
+    p_scale, v_scale, given = space._int_form()
+    for i, x in enumerate(pts):
+        if given[i][i] != (0, ()):  # ZERO
             raise InputError(f"nonzero self-distance at {x}; closure undefined")
     n = len(pts)
-    p_scale, v_scale, tbl = _int_table(pts, space.w)
+    tbl = [row[:] for row in given]
+    atoms = [[_atoms(f, True) for f in row] for row in tbl]
     for k in range(n):
         for i in range(n):
             if i == k:
                 continue
-            left = tbl[i][k]
+            left, left_atoms = tbl[i][k], atoms[i][k]
             for j in range(n):
                 if j == k or j == i:
                     continue
                 right, cur = tbl[k][j], tbl[i][j]
                 if _le(left, cur) or _le(right, cur):
                     continue
-                via = _conv(left, right, True)
+                via = _sweep(left_atoms, atoms[k][j])
                 if not _le(via, cur):
                     tbl[i][j] = _pointwise_int([cur, via], min)
-    back = [[_from_int(fi, p_scale, v_scale) for fi in row] for row in tbl]
-    return StepModularSpace(
-        pts, {(a, b): back[i][j] for i, a in enumerate(pts) for j, b in enumerate(pts)}
-    )
+                    atoms[i][j] = _atoms(tbl[i][j], True)
+    p_scale, v_scale, flat = _least_scales(p_scale, v_scale, [f for row in tbl for f in row])
+    back = _from_ints(flat, p_scale, v_scale)
+    closed = StepModularSpace(pts, dict(zip(product(pts, pts), back)))
+    closed._ints = p_scale, v_scale, [flat[i * n : (i + 1) * n] for i in range(n)]
+    return closed
 
 
 def random_closed_space(rng: random.Random, n_points: int) -> StepModularSpace:
@@ -564,10 +574,7 @@ def _build_slot_form(pts: tuple[str, ...], entry) -> _SlotForm:
     n = len(pts)
     p_scale, v_scale, ints = _to_ints(entry(a, b) for a in pts for b in pts)
     ipos = sorted({p for _, cuts in ints for p, _, _ in cuts})
-    ivals = sorted(
-        {v for head, cuts in ints for v in (head, *(x for c in cuts for x in c[1:]))}
-        - {math.inf}
-    )
+    ivals = sorted(_finite_values(ints))
     slot_of = {p: 2 * c + 1 for c, p in enumerate(ipos)}
     rank = {v: r for r, v in enumerate(ivals)}
     rank[math.inf] = len(ivals)
@@ -706,12 +713,6 @@ def _entourage_grids(space: Space, ts: Iterable[Fraction], eps: Iterable[Fractio
     th = _thresholds(form.vals, es)
     for t in ts:
         yield _nested_rows(form.firsts(form.slot(t), th), len(es))
-
-
-def _entourage_grid(space: Space, t: Fraction, eps: Iterable[Fraction]) -> list[list[int]]:
-    """The rows of U(t, e) for every ``e`` of the ascending ``eps``, as
-    ``rows[k][i]``; see :func:`_entourage_grids`."""
-    return next(_entourage_grids(space, [as_fraction(t)], eps))
 
 
 def _vanishes(space: Space, x: str, y: str) -> bool:
@@ -943,7 +944,7 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     evaluated at each of those parameters instead.
     """
     t_cands, eps_cands = candidate_parameters(space)
-    pts = space.points
+    pts, w = space.points, space._entry
     n = len(pts)
     # grid[a][k]: the rows of U(t_cands[a], eps_cands[k])
     grid = list(_entourage_grids(space, t_cands, eps_cands))
@@ -984,7 +985,7 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
         refinement=True,
         composition=composition,
         countable=True,
-        symmetric=True if _is_symmetric(pts, space._entry) else None,
+        symmetric=True if all(w(x, y) == w(y, x) for x in pts for y in pts) else None,
         violations=tuple(violations),
     )
 

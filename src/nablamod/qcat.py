@@ -184,12 +184,8 @@ def check_qcategory(cat: Category) -> QCategoryReport:
     lattice top and the quantale multiplication.
     """
     if isinstance(cat, NablaCategory):
-        return _check_nabla(cat)
+        return QCategoryReport(*_table_axioms(cat)[:4])
     return _check_finite(cat)
-
-
-def _check_nabla(cat: NablaCategory) -> QCategoryReport:
-    return QCategoryReport(*_table_axioms(cat.points, cat.hom))
 
 
 def _check_finite(cat: FiniteQCategory) -> QCategoryReport:

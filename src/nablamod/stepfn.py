@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -50,7 +50,6 @@ __all__ = [
     "is_left_continuous",
     "well_below_top",
     "well_below_fstep",
-    "first_well_below",
     "time_rescale",
     "scale_values",
     "parse_step_literal",
@@ -322,12 +321,44 @@ def _to_ints(fns: Iterable[StepFunction]) -> tuple[int, int, list[_IFn]]:
     return p_scale, v_scale, [ints(f) for f in fns]
 
 
-def _from_int(fi: _IFn, p_scale: int, v_scale: int) -> StepFunction:
-    def val(v) -> ExtRational:
-        return INF if v == math.inf else ExtRational(Fraction(v, v_scale))
+def _int_table(pts: Sequence[str], w) -> tuple[int, int, list[list[_IFn]]]:
+    """The table ``w`` on ``pts`` in integer form, on one pair of scales."""
+    n = len(pts)
+    p_scale, v_scale, flat = _to_ints(w(a, b) for a in pts for b in pts)
+    return p_scale, v_scale, [flat[i * n : (i + 1) * n] for i in range(n)]
 
-    cuts = [(Fraction(p, p_scale), val(at), val(after)) for p, at, after in fi[1]]
-    return StepFunction(val(fi[0]), cuts)
+
+def _least_scales(p_scale: int, v_scale: int, fis: list[_IFn]) -> tuple[int, int, list[_IFn]]:
+    """``fis`` on the least scales, the ones :func:`_to_ints` would pick for them:
+    the lcm of the reduced denominators of ``p / p_scale`` is ``p_scale / gcd(p_scale, all p)``."""
+    gp = math.gcd(p_scale, *{c[0] for _, cuts in fis for c in cuts})
+    gv = math.gcd(v_scale, *_finite_values(fis))
+    if gp > 1 or gv > 1:
+        v = {x: x // gv for x in _finite_values(fis)} | {math.inf: math.inf}
+        fis = [(v[h], tuple((p // gp, v[a], v[b]) for p, a, b in cuts)) for h, cuts in fis]
+    return p_scale // gp, v_scale // gv, fis
+
+
+def _from_ints(fis: list[_IFn], p_scale: int, v_scale: int) -> list[StepFunction]:
+    """Kernel output, which is canonical, to step functions without the
+    constructor's checks; each distinct position and value converted once."""
+    pos = {p: Fraction(p, p_scale) for p in {c[0] for _, cuts in fis for c in cuts}}
+    val = {v: ExtRational(Fraction(v, v_scale)) for v in _finite_values(fis)}
+    val[math.inf] = INF
+    out = [object.__new__(StepFunction) for _ in fis]
+    for f, (head, cuts) in zip(out, fis):
+        object.__setattr__(f, "head", val[head])
+        object.__setattr__(f, "cuts", tuple(Cut(pos[p], val[a], val[b]) for p, a, b in cuts))
+    return out
+
+
+def _from_int(fi: _IFn, p_scale: int, v_scale: int) -> StepFunction:
+    return _from_ints([fi], p_scale, v_scale)[0]
+
+
+def _finite_values(fis: Iterable[_IFn]) -> set:
+    vals = {v for head, cuts in fis for v in (head, *(x for c in cuts for x in c[1:]))}
+    return vals - {math.inf}
 
 
 def _le(f: _IFn, g: _IFn) -> bool:
@@ -378,6 +409,15 @@ def _pointwise_int(fns: list[_IFn], pick) -> _IFn:
     return head, tuple(out)
 
 
+def _atoms(fn: _IFn, with_boundary: bool) -> tuple[list, list]:
+    """The finite atoms of ``fn`` for :func:`_sweep`: points ``(pos, value)``,
+    with ``(0, head)`` if ``with_boundary``, and open pieces ``(left end, value)``."""
+    head, cuts = fn
+    pts = ([(0, head)] if with_boundary else []) + [(p, at) for p, at, _ in cuts]
+    ops = [(0, head)] + [(p, after) for p, _, after in cuts]
+    return [a for a in pts if a[1] != math.inf], [a for a in ops if a[1] != math.inf]
+
+
 def _least_sums(fa: list, ga: list) -> dict:
     """For each start ``p + q`` of a pair of atoms, the least value ``u + v``."""
     best: dict = {}
@@ -389,23 +429,15 @@ def _least_sums(fa: list, ga: list) -> dict:
     return best
 
 
-def _conv(f: _IFn, g: _IFn, with_boundary: bool) -> _IFn:
-    """The atom sweep of :func:`oplus` on two integer forms on common scales.
+def _sweep(fa: tuple[list, list], ga: tuple[list, list]) -> _IFn:
+    """The convolution of two functions given by their :func:`_atoms`.
 
     A point plus an open piece is never below the open piece starting at the
     same cut plus that open piece, so only point + point sums (closed) and
     open + open sums (open) are kept.
     """
     inf = math.inf
-
-    def atoms(fn: _IFn) -> tuple[list, list]:
-        head, cuts = fn
-        pts = ([(0, head)] if with_boundary else []) + [(p, at) for p, at, _ in cuts]
-        ops = [(0, head)] + [(p, after) for p, _, after in cuts]
-        return [a for a in pts if a[1] != inf], [a for a in ops if a[1] != inf]
-
-    (f_pts, f_ops), (g_pts, g_ops) = atoms(f), atoms(g)
-    closed, opened = _least_sums(f_pts, g_pts), _least_sums(f_ops, g_ops)
+    closed, opened = _least_sums(fa[0], ga[0]), _least_sums(fa[1], ga[1])
     head = cur = min(closed.pop(0, inf), opened.pop(0, inf))
     cuts = []
     for s in sorted(closed.keys() | opened.keys()):
@@ -415,6 +447,11 @@ def _conv(f: _IFn, g: _IFn, with_boundary: bool) -> _IFn:
             cuts.append((s, at, after))
             cur = after
     return head, tuple(cuts)
+
+
+def _conv(f: _IFn, g: _IFn, with_boundary: bool) -> _IFn:
+    """The convolution of two integer forms on common scales."""
+    return _sweep(_atoms(f, with_boundary), _atoms(g, with_boundary))
 
 
 def le_op(f: StepFunction, g: StepFunction) -> bool:
@@ -533,12 +570,7 @@ def well_below_top(f: StepFunction) -> bool:
     infinity (bottom) satisfies both.  Validated in the test suite against
     explicit refuting families for each failed condition.
     """
-    return f.head.is_infinite and final_positive(f)
-
-
-def final_positive(f: StepFunction) -> bool:
-    v = f.final_value()
-    return v.is_infinite or v.as_fraction() > 0
+    return f.head.is_infinite and f.final_value() != ZERO.head
 
 
 def well_below_fstep(
@@ -562,28 +594,6 @@ def well_below_fstep(
     if eps_v.is_infinite:
         return g != BOTTOM
     return eval_at(g, t_f) < eps_v
-
-
-def first_well_below(t: RationalLike, eps: Sequence[ExtRational], g: StepFunction) -> int:
-    """The first index ``k`` with ``well_below_fstep(t, eps[k], g)``, or
-    ``len(eps)``, for radius values ``eps`` in ascending order (infinity
-    last).  The test is monotone in ``eps``, so one evaluation of ``g`` at
-    ``t`` and one bisection decide it for the whole list; at ``eps = inf``
-    the bottom element is still the one function that is not well below.
-
-    Nothing in the package calls it (``ball_topology`` reads its category's
-    slot form); it is kept as the per-radius reference that the ball-side
-    tests check against.
-    """
-    t_f = as_fraction(t)
-    if t_f.numerator <= 0:
-        raise InputError(f"threshold must be positive, got {t_f}")
-    if eps and eps[0]._num == 0:
-        raise InputError("radius value must be positive")
-    v = eval_at(g, t_f)
-    if not v.is_infinite:
-        return bisect_right(eps, v)
-    return len(eps) if g == BOTTOM else bisect_left(eps, INF)
 
 
 def time_rescale(f: StepFunction, k: RationalLike) -> StepFunction:

@@ -11,6 +11,7 @@ continuity test.
 """
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -44,11 +45,35 @@ from nablamod import (
 )
 from nablamod.modular import (
     QuasiUniformityReport,
-    _entourage_grid,
+    _entourage_grids,
     _neighborhood_masks,
     _nested_rows,
 )
-from nablamod.stepfn import first_well_below
+
+
+def _entourage_grid(space, t, eps):
+    """The rows of U(t, e) for every ``e`` of the ascending ``eps``, as
+    ``rows[k][i]``: the one-t case of ``_entourage_grids``."""
+    return next(_entourage_grids(space, [F(t)], eps))
+
+
+def first_well_below(t, eps, g):
+    """The first index ``k`` with ``well_below_fstep(t, eps[k], g)``, or
+    ``len(eps)``, for radius values ``eps`` in ascending order (infinity
+    last).  The test is monotone in ``eps``, so one evaluation of ``g`` at
+    ``t`` and one bisection decide it for the whole list; at ``eps = inf``
+    the bottom element is still the one function that is not well below.
+    The per-radius reference for the ball side, which reads its category's
+    slot form instead."""
+    t_f = F(t)
+    if t_f.numerator <= 0:
+        raise InputError(f"threshold must be positive, got {t_f}")
+    if eps and eps[0] == ext(0):
+        raise InputError("radius value must be positive")
+    v = eval_at(g, t_f)
+    if not v.is_infinite:
+        return bisect_right(eps, v)
+    return len(eps) if g == BOTTOM else bisect_left(eps, INF)
 
 
 def step_table(rng, n, diagonal, max_cuts=2):

@@ -112,13 +112,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     obj = _load(args.file, close=args.close)
     if isinstance(obj, (StepModularSpace, ScaledModularSpace)):
         rep = check_axioms(obj)
-        ok = rep.m1 and rep.m2
-    else:
-        rep = check_qcategory(obj)
-        ok = rep.qc1 and rep.qc2
-    for name, value in vars(rep).items():  # the report's fields, in order
-        print(f"{name} {_bool(value)}")
-    return 0 if ok else 1
+        print(f"m1 {_bool(rep.m1)}")
+        print(f"m2 {_bool(rep.m2)}")
+        print(f"m3 {_bool(rep.m3)}")
+        print(f"m4 {_bool(rep.m4)}")
+        print(f"left_continuous {_bool(rep.left_continuous)}")
+        return 0 if rep.m1 and rep.m2 else 1
+    rep = check_qcategory(obj)
+    print(f"qc1 {_bool(rep.qc1)}")
+    print(f"qc2 {_bool(rep.qc2)}")
+    print(f"separated {_bool(rep.separated)}")
+    print(f"symmetric {_bool(rep.symmetric)}")
+    return 0 if rep.qc1 and rep.qc2 else 1
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -154,14 +159,18 @@ def _cmd_dw(args: argparse.Namespace) -> int:
     obj = _load(args.file)
     if isinstance(obj, StepModularSpace):
         d = induced_distance(obj)
-    elif isinstance(obj, ScaledModularSpace):
-        d = {pair: f"{lo} {hi}" for pair, (lo, hi) in scaled_induced_distance(obj).items()}
-    else:
-        raise InputError("induced distances are defined for space files")
-    for x in sorted(obj.points):
-        for y in sorted(obj.points):
-            print(f"{x} {y} {d[(x, y)]}")
-    return 0
+        for x in sorted(obj.points):
+            for y in sorted(obj.points):
+                print(f"{x} {y} {d[(x, y)]}")
+        return 0
+    if isinstance(obj, ScaledModularSpace):
+        enc = scaled_induced_distance(obj)
+        for x in sorted(obj.points):
+            for y in sorted(obj.points):
+                lo, hi = enc[(x, y)]
+                print(f"{x} {y} {lo} {hi}")
+        return 0
+    raise InputError("induced distances are defined for space files")
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:

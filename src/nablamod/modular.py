@@ -43,7 +43,6 @@ from .stepfn import (
     _from_ints,
     _int_table,
     _le,
-    _least_scales,
     _pointwise_int,
     _sweep,
     _to_ints,
@@ -156,8 +155,9 @@ class _Table:
     # lists, and a space and its e_mod share one dict but build their own.
 
     def _int_form(self) -> tuple[int, int, list[list]]:
-        """:func:`_int_table` of a step table, built on first use (or set by
-        :func:`triangle_closure` on the table it returns)."""
+        """The table on one pair of integer scales: :func:`_int_table`, built
+        on first use, or the relaxed table that :func:`triangle_closure` sets
+        on the space it returns, on its input's scales."""
         if self._ints is None:
             self._ints = _int_table(self.points, self._entry)
         return self._ints
@@ -312,6 +312,11 @@ def _table_axioms(table: _Table) -> tuple[bool, bool, bool, bool, bool]:
     return m1, m2, m3, m4, lc
 
 
+def _is_symmetric(pts: tuple[str, ...], w) -> bool:
+    """Whether the table ``w`` on ``pts`` has ``w(x, y) == w(y, x)`` throughout."""
+    return all(w(x, y) == w(y, x) for x in pts for y in pts)
+
+
 def _scaled_axioms(space: ScaledModularSpace) -> AxiomReport:
     pts, d = space.points, space.d
     m1 = all(d(x, x) == 0 for x in pts)
@@ -326,7 +331,7 @@ def _scaled_axioms(space: ScaledModularSpace) -> AxiomReport:
 
     m2 = all(split(x, y, z) for x in pts for y in pts for z in pts)
     m3 = all(d(x, y) > 0 or d(y, x) > 0 for x in pts for y in pts if x != y)
-    m4 = all(d(x, y) == d(y, x) for x in pts for y in pts)
+    m4 = _is_symmetric(pts, d)
     return AxiomReport(m1=m1, m2=m2, m3=m3, m4=m4, left_continuous=True)
 
 
@@ -400,7 +405,7 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
     closing under ``oplus_interior`` instead keeps larger ``at`` values at
     left jumps.  The whole relaxation runs on the table's integer form, with
     each entry's atoms built once and rebuilt only when the entry is relaxed.
-    The relaxed table, on its least scales, is kept as the returned space's
+    The relaxed table, on the input's scales, is kept as the returned space's
     integer form (:meth:`_Table._int_form`), which the axiom check reads.
 
     Requires a vanishing diagonal; with it, the relaxed table keeps the
@@ -433,10 +438,9 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
                 if not _le(via, cur):
                     tbl[i][j] = _pointwise_int([cur, via], min)
                     atoms[i][j] = _atoms(tbl[i][j], True)
-    p_scale, v_scale, flat = _least_scales(p_scale, v_scale, [f for row in tbl for f in row])
-    back = _from_ints(flat, p_scale, v_scale)
+    back = _from_ints([f for row in tbl for f in row], p_scale, v_scale)
     closed = StepModularSpace(pts, dict(zip(product(pts, pts), back)))
-    closed._ints = p_scale, v_scale, [flat[i * n : (i + 1) * n] for i in range(n)]
+    closed._ints = p_scale, v_scale, tbl
     return closed
 
 
@@ -944,7 +948,7 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     evaluated at each of those parameters instead.
     """
     t_cands, eps_cands = candidate_parameters(space)
-    pts, w = space.points, space._entry
+    pts = space.points
     n = len(pts)
     # grid[a][k]: the rows of U(t_cands[a], eps_cands[k])
     grid = list(_entourage_grids(space, t_cands, eps_cands))
@@ -985,7 +989,7 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
         refinement=True,
         composition=composition,
         countable=True,
-        symmetric=True if all(w(x, y) == w(y, x) for x in pts for y in pts) else None,
+        symmetric=True if _is_symmetric(pts, space._entry) else None,
         violations=tuple(violations),
     )
 

@@ -328,17 +328,6 @@ def _int_table(pts: Sequence[str], w) -> tuple[int, int, list[list[_IFn]]]:
     return p_scale, v_scale, [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
-def _least_scales(p_scale: int, v_scale: int, fis: list[_IFn]) -> tuple[int, int, list[_IFn]]:
-    """``fis`` on the least scales, the ones :func:`_to_ints` would pick for them:
-    the lcm of the reduced denominators of ``p / p_scale`` is ``p_scale / gcd(p_scale, all p)``."""
-    gp = math.gcd(p_scale, *{c[0] for _, cuts in fis for c in cuts})
-    gv = math.gcd(v_scale, *_finite_values(fis))
-    if gp > 1 or gv > 1:
-        v = {x: x // gv for x in _finite_values(fis)} | {math.inf: math.inf}
-        fis = [(v[h], tuple((p // gp, v[a], v[b]) for p, a, b in cuts)) for h, cuts in fis]
-    return p_scale // gp, v_scale // gv, fis
-
-
 def _from_ints(fis: list[_IFn], p_scale: int, v_scale: int) -> list[StepFunction]:
     """Kernel output, which is canonical, to step functions without the
     constructor's checks; each distinct position and value converted once."""
@@ -570,7 +559,12 @@ def well_below_top(f: StepFunction) -> bool:
     infinity (bottom) satisfies both.  Validated in the test suite against
     explicit refuting families for each failed condition.
     """
-    return f.head.is_infinite and f.final_value() != ZERO.head
+    return f.head.is_infinite and final_positive(f)
+
+
+def final_positive(f: StepFunction) -> bool:
+    v = f.final_value()
+    return v.is_infinite or v.as_fraction() > 0
 
 
 def well_below_fstep(

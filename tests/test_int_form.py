@@ -25,8 +25,10 @@ from nablamod import (
     chistyakov_example,
     e_mod,
     is_left_continuous,
+    join_op,
     le_op,
     left_regularize,
+    oplus,
     random_step,
     regularize,
     triangle_closure,
@@ -34,7 +36,7 @@ from nablamod import (
 from nablamod import modular
 from nablamod.modular import _int_table
 from nablamod.stepfn import _conv, _from_ints, _pointwise_int, _to_ints
-from test_dominance_bound import JUMP, unpruned_m2
+from test_dominance_bound import JUMP, half_empty, unpruned_m2
 from test_nabla import odd_step
 
 
@@ -171,15 +173,39 @@ def test_integer_verdicts_on_the_closure_form():
 # The form the closure hands over, and the step functions it builds.
 
 
+def on_scales(form, p_to, v_to):
+    """An integer form moved onto the scales ``p_to`` and ``v_to``, which
+    its own scales divide."""
+    p_scale, v_scale, tbl = form
+    assert p_to % p_scale == 0 and v_to % v_scale == 0
+    dp, dv = p_to // p_scale, v_to // v_scale
+
+    def val(v):
+        return v if v == math.inf else v * dv
+
+    return (
+        p_to,
+        v_to,
+        [[(val(h), tuple((p * dp, val(a), val(b)) for p, a, b in cuts)) for h, cuts in row] for row in tbl],
+    )
+
+
 def test_closure_form_is_the_int_table_of_its_result():
+    # on the input's scales, which the result's own scales divide
     for space in closable_tables():
         closed = triangle_closure(space)
-        assert closed._int_form() == _int_table(closed.points, closed.w)
+        pts = closed.points
+        p_scale, v_scale, tbl = form = closed._int_form()
+        assert (p_scale, v_scale) == space._int_form()[:2]
+        assert form == on_scales(_int_table(pts, closed.w), p_scale, v_scale)
+        back = _from_ints([f for row in tbl for f in row], p_scale, v_scale)
+        assert back == [closed.w(a, b) for a in pts for b in pts]
 
 
-def test_closure_form_drops_to_least_scales():
-    # the only thirds sit in an entry the closure replaces by ZERO, so the
-    # result is on the integer scales 1 and 1
+def test_closure_form_keeps_the_input_scales():
+    # the only thirds sit in an entry the closure replaces by ZERO: the
+    # result's own scales are 1 and 1, its form stays on thirds, and the
+    # verdicts do not depend on which
     thirds = StepFunction(INF, [(F(1, 3), F(5, 3), F(2, 3))])
     space = StepModularSpace(
         ["a", "b", "c"],
@@ -195,8 +221,12 @@ def test_closure_form_drops_to_least_scales():
     assert space._int_form()[:2] == (3, 3)
     closed = triangle_closure(space)
     assert closed.w("a", "b") == ZERO
-    assert closed._int_form() == _int_table(closed.points, closed.w)
-    assert closed._int_form()[:2] == (1, 1)
+    own = _int_table(closed.points, closed.w)
+    assert own[:2] == (1, 1)
+    assert closed._int_form() == on_scales(own, 3, 3)
+    rebuilt = StepModularSpace(closed.points, dict(closed._table))
+    assert check_axioms(closed) == check_axioms(rebuilt)
+    assert check_qcategory(e_mod(closed)) == check_qcategory(e_mod(rebuilt))
 
 
 def kernel_outputs():
@@ -272,3 +302,41 @@ def test_m2_sweeps_exactly_the_undecided_triples(monkeypatch):
         assert calls[0] == undecided
         total += undecided
     assert total > 0
+
+
+def undecided_closure_triples(space):
+    """Replays the relaxation on step functions, in the closure's order, and
+    counts the (k, i, j) with i, j and k distinct whose current entry lies
+    pointwise under neither leg; returns the count and the relaxed table."""
+    pts = space.points
+    w = {(a, b): space.w(a, b) for a in pts for b in pts}
+    count = 0
+    for k in pts:
+        for i in pts:
+            for j in pts:
+                if k in (i, j) or i == j:
+                    continue
+                left, right, cur = w[(i, k)], w[(k, j)], w[(i, j)]
+                if le_op(left, cur) or le_op(right, cur):
+                    continue
+                count += 1
+                w[(i, j)] = join_op([cur, oplus(left, right)])
+    return count, w
+
+
+def test_closure_sweeps_exactly_the_undecided_triples(monkeypatch):
+    calls = [0]
+    sweep = modular._sweep
+
+    def counted(*args):
+        calls[0] += 1
+        return sweep(*args)
+
+    space = half_empty(random.Random(107), 8, 6)
+    undecided, relaxed = undecided_closure_triples(space)
+    monkeypatch.setattr(modular, "_sweep", counted)
+    closed = triangle_closure(space)
+    assert {pair: closed.w(*pair) for pair in relaxed} == relaxed
+    assert calls[0] == undecided
+    # the unpruned loop convolves all 8 * 7 * 7 triples with i, j != k
+    assert 0 < undecided < 8 * 7 * 7

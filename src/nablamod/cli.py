@@ -210,7 +210,7 @@ def _verify_space(space: Union[StepModularSpace, ScaledModularSpace]) -> list[tu
         results.append(("regularization_diagram", verify_diagram(space)))
         results.append(("ball_topology_equality", verify_topology_theorem(space)))
     else:
-        same = _presents(_specialization(space), [m for (m,) in _neighborhood_masks(space)])
+        same = _presents(_specialization(space), _neighborhood_masks(space))
         results.append(("metric_ball_topology_equality", same))
     return results
 

@@ -35,10 +35,8 @@ from .errors import _lines, _pair, _point
 from .quantale_lab import FinitePreorder
 from .stepfn import (
     BOTTOM,
-    INF,
     ZERO,
     _atoms,
-    _conv,  # not called here; tests/test_dominance_bound.py calls and counts it through here
     _finite_values,
     _from_ints,
     _int_table,
@@ -518,8 +516,9 @@ def candidate_parameters(space: Space) -> tuple[tuple[Fraction, ...], tuple[Frac
     The least t lies below every cut and the least eps below every positive
     attained value, so the grid's finest entourage is the zero-head relation
     of :func:`_vanishes`.  The uniformity check and ``ball_topology`` read
-    the whole grid; the topology and the continuity grades need only that
-    finest member.
+    the whole grid, as one table of first eps indices per candidate t
+    (:func:`_first_tables`); the topology and the continuity grades need
+    only that finest member.
     """
     if isinstance(space, ScaledModularSpace):
         pool = {Fraction(0)}
@@ -539,9 +538,9 @@ class _SlotForm(NamedTuple):
     (i, j)'s value on slot s, and ``len(vals)`` for infinity.
     ``candidates`` is :func:`candidate_parameters` of the table.
 
-    A verdict at parameter t then locates t once (:meth:`slot`), maps each
-    rank through a table of first indices built once per eps list
-    (:func:`_thresholds`), and never evaluates a step function.
+    A verdict at parameter t then locates t once (:meth:`slot`) and reads
+    each entry's rank there, and never evaluates a step function
+    (:func:`_first_tables`).
     """
 
     pos: list[Fraction]
@@ -565,10 +564,6 @@ class _SlotForm(NamedTuple):
                 hi = mid
         at_cut = lo < len(pos) and pos[lo].numerator == n and pos[lo].denominator == d
         return 2 * lo + 1 if at_cut else 2 * lo
-
-    def firsts(self, s: int, th: list[int]) -> list[list[int]]:
-        """``th[rank]`` for every entry's rank at slot ``s``."""
-        return [[th[r[s]] for r in row] for row in self.ranks]
 
 
 def _build_slot_form(pts: tuple[str, ...], entry) -> _SlotForm:
@@ -610,18 +605,6 @@ def _build_slot_form(pts: tuple[str, ...], entry) -> _SlotForm:
     )
 
 
-def _thresholds(vals: list[Fraction], es: list[ExtRational]) -> list[int]:
-    """For each rank of ``vals`` (infinity last), the first index of the
-    ascending ``es`` whose value lies above it: one bisection per value."""
-    return [bisect_right(es, ExtRational(v)) for v in vals] + [bisect_right(es, INF)]
-
-
-def _w_eval(space: Space, x: str, y: str, t: Fraction) -> ExtRational:
-    if isinstance(space, ScaledModularSpace):
-        return space.w_at(t, x, y)
-    return eval_at(space.w(x, y), t)
-
-
 def neighborhood(
     space: Space, x: str, t: RationalLike, eps: Union[RationalLike, ExtRational]
 ) -> frozenset[str]:
@@ -632,23 +615,17 @@ def neighborhood(
     e = ext(eps)
     if x not in space.points:
         raise InputError(f"unknown point {x!r}")
-    return frozenset(y for y in space.points if _w_eval(space, x, y, t_f) < e)
+    if isinstance(space, ScaledModularSpace):
+        return frozenset(y for y in space.points if space.w_at(t_f, x, y) < e)
+    return frozenset(y for y in space.points if eval_at(space.w(x, y), t_f) < e)
 
 
 def entourage(
     space: Space, t: RationalLike, eps: Union[RationalLike, ExtRational]
 ) -> frozenset[tuple[str, str]]:
-    """The pair-set version of :func:`neighborhood`."""
-    t_f = as_fraction(t)
-    if t_f <= 0:
-        raise InputError(f"parameter must be positive, got {t_f}")
-    e = ext(eps)
-    return frozenset(
-        (x, y)
-        for x in space.points
-        for y in space.points
-        if _w_eval(space, x, y, t_f) < e
-    )
+    """The pair-set version of :func:`neighborhood`, built from every
+    point's neighborhood."""
+    return frozenset((x, y) for x in space.points for y in neighborhood(space, x, t, eps))
 
 
 @dataclass(frozen=True)
@@ -697,26 +674,26 @@ def _nested_rows(first: list[list[int]], m: int) -> list[list[int]]:
     return [list(rows) for rows in zip(*by_point)]
 
 
-def _entourage_grids(space: Space, ts: Iterable[Fraction], eps: Iterable[Fraction]):
-    """For each parameter of ``ts``, the rows of U(t, e) = {(x, y) :
-    w(t, x, y) < e} for every ``e`` of the ascending ``eps``, as
-    ``rows[k][i]``.  A step table locates each t in its slot form and reads
-    every entry's first ``e`` above it off one rank table for the whole eps
-    list; a scaled table is evaluated once per t and each entry placed by
-    one bisection."""
+def _first_tables(space: Space, ts: Iterable[Fraction], eps: Iterable[Fraction]):
+    """For each parameter of ``ts``, ``first[i][j]``: the index of the first
+    ``e`` of the ascending ``eps`` with w(t, x_i, x_j) < e, or
+    ``len(eps)`` if there is none.  U(t, e) = {(x, y) : w(t, x, y) < e}
+    grows in e, so this one table holds U(t, e) for the whole list
+    (:func:`_nested_rows` gives its rows).  A step table locates t in its
+    slot form and maps each entry's rank there through one bisection per
+    attained value; a scaled table places each w(t) by one bisection."""
     es = [ext(e) for e in eps]
     if isinstance(space, ScaledModularSpace):
         pts = space.points
         for t in ts:
-            yield _nested_rows(
-                [[bisect_right(es, space.w_at(t, a, b)) for b in pts] for a in pts],
-                len(es),
-            )
+            yield [[bisect_right(es, space.w_at(t, a, b)) for b in pts] for a in pts]
         return
     form = space._slot_form()
-    th = _thresholds(form.vals, es)
+    # infinity, the last rank, lies below no e
+    th = [bisect_right(es, ExtRational(v)) for v in form.vals] + [len(es)]
     for t in ts:
-        yield _nested_rows(form.firsts(form.slot(t), th), len(es))
+        s = form.slot(t)
+        yield [[th[r[s]] for r in row] for row in form.ranks]
 
 
 def _vanishes(space: Space, x: str, y: str) -> bool:
@@ -733,15 +710,13 @@ def _vanishes(space: Space, x: str, y: str) -> bool:
     return space.w(x, y).head == ZERO.head
 
 
-def _neighborhood_masks(space: Space) -> list[list[int]]:
+def _neighborhood_masks(space: Space) -> list[int]:
     """For each point (by index), its inclusion-minimal candidate
-    neighborhoods as bit masks.  There is exactly one: the point's row of
+    neighborhood as a bit mask.  There is exactly one: the point's row of
     the finest grid entourage (:func:`_vanishes`), which every candidate
     neighborhood contains.  O(n^2), no grid."""
     pts = space.points
-    return [
-        [sum(1 << j for j, y in enumerate(pts) if _vanishes(space, x, y))] for x in pts
-    ]
+    return [sum(1 << j for j, y in enumerate(pts) if _vanishes(space, x, y)) for x in pts]
 
 
 def _gate(space: Space, max_points: int) -> None:
@@ -808,7 +783,7 @@ def metric_ball_topology(space: Space, *, max_points: int = 12) -> FiniteTopolog
     family is a topology when the table has m1 and m2; otherwise it may fail
     :meth:`FiniteTopology.validate`."""
     _gate(space, max_points)
-    return _unions(space.points, [m for masks in _neighborhood_masks(space) for m in masks])
+    return _unions(space.points, _neighborhood_masks(space))
 
 
 def isolated_points(space: Space) -> frozenset[str]:
@@ -816,7 +791,7 @@ def isolated_points(space: Space) -> frozenset[str]:
     If all points qualify, both topologies are discrete; this builds no
     open set, so it scales to large families."""
     nb = _neighborhood_masks(space)
-    return frozenset(p for i, p in enumerate(space.points) if 1 << i in nb[i])
+    return frozenset(p for i, p in enumerate(space.points) if 1 << i == nb[i])
 
 
 # ---------------------------------------------------------------------------
@@ -941,56 +916,48 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     - symmetry: on a symmetric table every U(t, eps) = {(x, y) :
       w(t, x, y) < eps} is symmetric by definition.
 
-    A step table is read through its slot form: the whole grid is one
-    rank table over the candidate eps applied at each candidate t's slot,
-    and the halved entourages of the composition check one rank table over
-    the halved eps applied at the slot of each t/2.  Scaled tables are
-    evaluated at each of those parameters instead.
+    The diagonal and composition are read per candidate t off two first
+    index tables (:func:`_first_tables`): ``f`` at t over the candidate eps,
+    and ``h`` at t/2 over the halved eps, so that (i, j) lies in U(t, eps_k)
+    exactly when ``k >= f[i][j]``, and in U(t/2, eps_k/2) exactly when
+    ``k >= h[i][j]``.  The diagonal fails at k exactly when ``k < f[i][i]``.
+    The squared half entourage holds (i, z) exactly when some j has both
+    ``k >= h[i][j]`` and ``k >= h[j][z]``, that is when ``k >= B(i, z)`` for
+    the bottleneck product ``B(i, z) = min_j max(h[i][j], h[j][z])``; so
+    composition fails at k exactly when some (i, z) has
+    ``B(i, z) <= k < f[i][z]``.  One min-max product per t decides every eps.
     """
     t_cands, eps_cands = candidate_parameters(space)
     pts = space.points
-    n = len(pts)
-    # grid[a][k]: the rows of U(t_cands[a], eps_cands[k])
-    grid = list(_entourage_grids(space, t_cands, eps_cands))
-    violations: list[str] = []
-
-    diagonal = True
-    for t, by_eps in zip(t_cands, grid):
-        for eps, rows in zip(eps_cands, by_eps):
-            for i in range(n):
-                if not rows[i] >> i & 1:
-                    diagonal = False
-                    violations.append(
-                        f"diagonal: ({pts[i]}, {pts[i]}) escapes U(t={t}, eps={eps})"
-                    )
-
-    composition = True
     half_eps = [eps / 2 for eps in eps_cands]
-    half_grid = _entourage_grids(space, [t / 2 for t in t_cands], half_eps)
-    for t, by_eps, halves in zip(t_cands, grid, half_grid):
-        for eps, full, half in zip(eps_cands, by_eps, halves):
-            for i in range(n):
-                acc = 0
-                m = half[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= half[j]
-                if acc & ~full[i]:
-                    composition = False
-                    violations.append(
-                        f"composition: U(t={t / 2}, eps={eps / 2}) squared "
-                        f"escapes U(t={t}, eps={eps})"
-                    )
-                    break
+    halves = _first_tables(space, [t / 2 for t in t_cands], half_eps)
+    diagonal: list[str] = []
+    composition: list[str] = []
+    for t, f, h in zip(t_cands, _first_tables(space, t_cands, eps_cands), halves):
+        diagonal += [
+            f"diagonal: ({x}, {x}) escapes U(t={t}, eps={eps})"
+            for k, eps in enumerate(eps_cands)
+            for i, x in enumerate(pts)
+            if k < f[i][i]
+        ]
+        cols = list(zip(*h))
+        failing: set[int] = set()
+        for h_i, f_i in zip(h, f):
+            for col, f_iz in zip(cols, f_i):
+                failing.update(range(min(map(max, h_i, col)), f_iz))
+        composition += [
+            f"composition: U(t={t / 2}, eps={half_eps[k]}) squared "
+            f"escapes U(t={t}, eps={eps_cands[k]})"
+            for k in sorted(failing)
+        ]
 
     return QuasiUniformityReport(
-        diagonal=diagonal,
+        diagonal=not diagonal,
         refinement=True,
-        composition=composition,
+        composition=not composition,
         countable=True,
         symmetric=True if _is_symmetric(pts, space._entry) else None,
-        violations=tuple(violations),
+        violations=tuple(diagonal + composition),
     )
 
 

@@ -20,7 +20,6 @@ by running them, not by appeal to a general theorem.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -32,6 +31,7 @@ from .modular import (
     StepModularSpace,
     _Table,
     _all_le,
+    _first_tables,
     _gate,
     _nested_rows,
     _presents,
@@ -49,8 +49,6 @@ from .quantale_lab import (
     parse_lattice,
 )
 from .stepfn import (
-    BOTTOM,
-    INF,
     ExtRational,
     RationalLike,
     StepFunction,
@@ -321,34 +319,6 @@ def ball(
     )
 
 
-def _ball_grids(cat: NablaCategory, ts: Iterable[Fraction], eps: Iterable[ExtRational]):
-    """For each parameter of ``ts``, the balls ``rows[k][z]`` around every
-    center z for every radius value of the ascending ``eps``, as bit masks.
-
-    Read off the category's own slot form, built from ``cat.hom``: t is
-    located once, and one rank table per eps list gives each hom's first
-    radius it is well below.  That is ``g(t) < eps`` for a finite value, so
-    a hom infinite at t enters only at ``eps = inf``, where every hom but
-    the bottom element is well below the (bottom) radius.
-    """
-    form = cat._slot_form()
-    pts = cat.points
-    es = [ext(e) for e in eps]
-    m = len(es)
-    th = [bisect_right(es, ExtRational(v)) for v in form.vals] + [bisect_left(es, INF)]
-    bottoms = [
-        (i, j)
-        for i, z in enumerate(pts)
-        for j, y in enumerate(pts)
-        if cat.hom(z, y) == BOTTOM
-    ]
-    for t in ts:
-        first = form.firsts(form.slot(t), th)
-        for i, j in bottoms:
-            first[i][j] = m
-        yield _nested_rows(first, m)
-
-
 def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology:
     """The unions of the open balls, the empty union included: a set is
     open when every member lies in some ball (around any center) inside it.
@@ -357,7 +327,9 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
 
     Only step radii over the finite candidate grid are used: any other
     radius sits between two grid radii, and its ball is then squeezed
-    between theirs, so the unions are the same (:func:`_balls`).
+    between theirs, so the unions are the same.  At a finite radius the ball
+    around a center is its row of the entourage U(t, eps) of the
+    category's own table (:func:`_balls`).
     """
     _gate(cat, max_points)
     return _unions(cat.points, _balls(cat))
@@ -365,11 +337,21 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
 
 def _balls(cat: NablaCategory) -> set[int]:
     """Every ball of the candidate grid, around every center, as a bit mask.
-    Balls grow with eps, so the category's slot form (built from its homs,
-    independently of any space) gives, per candidate t, each hom's first
-    candidate eps whose ball takes it in (:func:`_ball_grids`)."""
+
+    Every candidate eps is finite, and for a finite eps a hom g is well
+    below f_step(t, eps) exactly when g(t) < eps.  So the ball around z at
+    (t, eps) is row z of the entourage U(t, eps) of the category's own
+    table, and the first index tables of its slot form (built from its
+    homs, independently of any space) give every ball per candidate t
+    (:func:`nablamod.modular._first_tables`)."""
     t_cands, eps_cands = candidate_parameters(cat)
-    return {m for by_eps in _ball_grids(cat, t_cands, eps_cands) for rows in by_eps for m in rows}
+    m = len(eps_cands)
+    return {
+        row
+        for first in _first_tables(cat, t_cands, eps_cands)
+        for rows in _nested_rows(first, m)
+        for row in rows
+    }
 
 
 def verify_topology_theorem(space: StepModularSpace) -> bool:

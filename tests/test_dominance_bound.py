@@ -29,7 +29,7 @@ from nablamod import (
     random_step,
     triangle_closure,
 )
-from nablamod import modular
+from nablamod import modular, stepfn
 from nablamod.modular import _int_table
 from nablamod.stepfn import _from_int, _le, _pointwise_int
 
@@ -72,8 +72,8 @@ def test_convolution_is_pointwise_at_least_either_leg():
 
 # ---------------------------------------------------------------------------
 # The unpruned integer loops, as they stood before the bound: one
-# convolution for every triple.  They call ``modular._conv`` through the
-# module so the counter below sees them too.
+# convolution for every triple.  They call ``stepfn._conv`` through the
+# module so the counter below sees them.
 
 
 def unpruned_closure(space):
@@ -88,7 +88,7 @@ def unpruned_closure(space):
             for j in range(n):
                 if j == k:
                     continue
-                via = modular._conv(left, tbl[k][j], True)
+                via = stepfn._conv(left, tbl[k][j], True)
                 if not _le(via, tbl[i][j]):
                     tbl[i][j] = _pointwise_int([tbl[i][j], via], min)
     back = [[_from_int(fi, p_scale, v_scale) for fi in row] for row in tbl]
@@ -101,7 +101,7 @@ def unpruned_m2(pts, w):
     n = len(pts)
     tbl = _int_table(pts, w)[2]
     return all(
-        _le(modular._conv(tbl[i][j], tbl[j][k], False), tbl[i][k])
+        _le(stepfn._conv(tbl[i][j], tbl[j][k], False), tbl[i][k])
         for i in range(n)
         for j in range(n)
         for k in range(n)
@@ -184,25 +184,32 @@ def test_pruned_loops_match_the_unpruned_ones():
 
 
 def test_the_bound_saves_convolutions(monkeypatch):
-    calls = [0]
-    conv = modular._conv
+    # the pruned loops convolve prebuilt atoms with ``modular._sweep``; the
+    # reference loops call ``stepfn._conv``, which reaches ``stepfn._sweep``
+    # and so is not counted twice
+    calls = {"pruned": 0, "unpruned": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return conv(*args)
+    def counted(module, name, key):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(modular, "_conv", counted)
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(modular, "_sweep", "pruned")
+    counted(stepfn, "_conv", "unpruned")
     space = half_empty(random.Random(107), 8, 6)
 
     closed = triangle_closure(space)
     m2 = check_axioms(closed).m2
-    pruned = calls[0]
-
-    calls[0] = 0
     reference = unpruned_closure(space)
     assert closed == reference
     assert m2 == unpruned_m2(reference.points, reference.w)
-    unpruned = calls[0]
 
-    assert unpruned == 8 * 7 * 7 + 8**3
-    assert pruned < unpruned
+    assert calls["unpruned"] == 8 * 7 * 7 + 8**3
+    assert 0 < calls["pruned"] < calls["unpruned"]
+    # without the bound the pruned loops would still skip the triples their
+    # index tests decide, and sweep the other 8*7*6 (closure) + 8*7*7 (m2)
+    assert calls["pruned"] < 8 * 7 * 6 + 8 * 7 * 7

@@ -86,7 +86,7 @@ def test_zero_head_row_is_the_least_grid_neighborhood(name, space):
     rows = [mask({y for y in pts if (x, y) in zero}, pts) for x in pts]
     least = [mask(neighborhood(space, x, min(t_cands), min(eps_cands)), pts) for x in pts]
     assert rows == least
-    assert _neighborhood_masks(space) == [[r] for r in rows]
+    assert _neighborhood_masks(space) == rows
 
 
 @pytest.mark.parametrize("name,space", CASES)

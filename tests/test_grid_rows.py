@@ -1,8 +1,9 @@
 """The grid verdicts against per-cell oracles.
 
-``check_quasi_uniformity_base`` and ``ball_topology`` read each table's
-slot form: one slot per candidate t, and the rows for every candidate eps
-off one rank table.  ``topology`` and ``is_uniformly_continuous`` read the
+``check_quasi_uniformity_base`` and ``ball_topology`` read one table of
+first eps indices per candidate t (``_first_tables``), off each table's
+slot form: the uniformity check by a bottleneck product, the ball side as
+the rows of the entourages.  ``topology`` and ``is_uniformly_continuous`` read the
 finest grid entourage, the zero-head relation.  The oracles below are the
 literal per-cell computations: ``neighborhood()`` and ``ball()`` at every
 grid cell, ``well_below_fstep`` at every radius, and the per-(t, eps)
@@ -45,7 +46,7 @@ from nablamod import (
 )
 from nablamod.modular import (
     QuasiUniformityReport,
-    _entourage_grids,
+    _first_tables,
     _neighborhood_masks,
     _nested_rows,
 )
@@ -53,8 +54,8 @@ from nablamod.modular import (
 
 def _entourage_grid(space, t, eps):
     """The rows of U(t, e) for every ``e`` of the ascending ``eps``, as
-    ``rows[k][i]``: the one-t case of ``_entourage_grids``."""
-    return next(_entourage_grids(space, [F(t)], eps))
+    ``rows[k][i]``: the nested rows of the one-t first index table."""
+    return _nested_rows(next(_first_tables(space, [F(t)], eps)), len(eps))
 
 
 def first_well_below(t, eps, g):
@@ -107,15 +108,34 @@ def spaces():
     return out
 
 
+def broken_scaled():
+    """Seeded scaled tables with zeros and far-apart distances, so the
+    triangle inequality breaks and U(t/2, eps/2) squared escapes U(t, eps)
+    somewhere, and one with a nonzero self-distance as well: the scaled
+    branch of the composition check.  Kept out of ``SPACES`` so that the
+    cases built on it keep their ids."""
+    rng = random.Random(9173)
+    out = []
+    for n in (3, 4, 5):
+        pts = [f"p{i}" for i in range(n)]
+        off = [(a, b) for a in pts for b in pts if a != b]
+        d = {pair: F(rng.choice([0, 0, 1, 3, 9]), rng.randint(1, 3)) for pair in off}
+        out.append((f"scaled_broken{n}", ScaledModularSpace(pts, d)))
+    d = {(a, b): F(rng.choice([0, 1, 5]), 2) for a in "abc" for b in "abc"}
+    out.append(("scaled_self_distance3", ScaledModularSpace(list("abc"), d)))
+    return out
+
+
 SPACES = spaces()
 STEP_SPACES = [(name, s) for name, s in SPACES if isinstance(s, StepModularSpace)]
+UNIFORMITY_CASES = SPACES + broken_scaled()
 
 
 def mask(members, pts):
     return sum(1 << i for i, p in enumerate(pts) if p in members)
 
 
-@pytest.mark.parametrize("name,space", SPACES)
+@pytest.mark.parametrize("name,space", UNIFORMITY_CASES)
 def test_rows_match_neighborhood_at_every_cell(name, space):
     pts = space.points
     t_cands, eps_cands = candidate_parameters(space)
@@ -152,7 +172,7 @@ def test_neighborhood_masks_and_topology_match_neighborhood(name, space):
         minimal({mask(neighborhood(space, x, t, e), pts) for t in t_cands for e in eps_cands})
         for x in pts
     ]
-    assert [sorted(m) for m in _neighborhood_masks(space)] == literal
+    assert [[m] for m in _neighborhood_masks(space)] == literal
     opens = frozenset(
         frozenset(p for i, p in enumerate(pts) if g >> i & 1)
         for g in range(1 << len(pts))
@@ -374,15 +394,18 @@ def cellwise_quasi_uniformity(space):
     )
 
 
-@pytest.mark.parametrize("name,space", SPACES)
+@pytest.mark.parametrize("name,space", UNIFORMITY_CASES)
 def test_uniformity_report_matches_the_cellwise_check(name, space):
     assert check_quasi_uniformity_base(space) == cellwise_quasi_uniformity(space)
 
 
 def test_the_uniformity_cases_include_failures_and_symmetric_spaces():
-    reports = [check_quasi_uniformity_base(s) for _, s in SPACES]
+    reports = [check_quasi_uniformity_base(s) for _, s in UNIFORMITY_CASES]
     assert any(r.violations for r in reports)
     assert any(not r.diagonal for r in reports)
+    # composition fails on both branches: a step table and a scaled one
+    kinds = {type(s) for (_, s), r in zip(UNIFORMITY_CASES, reports) if not r.composition}
+    assert kinds == {StepModularSpace, ScaledModularSpace}
     assert any(r.symmetric is True for r in reports)
     assert any(r.symmetric is None for r in reports)
 

@@ -85,7 +85,7 @@ def random_scaled(rng, n):
 
 
 def zero_head_line(space):
-    return _presents(_specialization(space), [m for (m,) in _neighborhood_masks(space)])
+    return _presents(_specialization(space), _neighborhood_masks(space))
 
 
 def test_verify_lines_match_the_family_comparisons():

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, ResourceBoundError
 from .errors import _lines, _pair, _point
-from .quantale_lab import FinitePreorder
+from .quantale_lab import _closure
 from .stepfn import (
     BOTTOM,
     ZERO,
@@ -149,8 +149,9 @@ class _Table:
     _form: Optional["_SlotForm"] = None
 
     # Both forms are kept for the object's lifetime and never go stale: _Table
-    # has no mutator, step functions are immutable, callers never mutate the
-    # lists, and a space and its e_mod share one dict but build their own.
+    # has no mutator, step functions are immutable and callers never mutate
+    # the lists.  A space and its e_mod hold equal entries in two dicts (the
+    # constructor validates into a new one), and each builds its own forms.
 
     def _int_form(self) -> tuple[int, int, list[list]]:
         """The table on one pair of integer scales: :func:`_int_table`, built
@@ -161,9 +162,10 @@ class _Table:
         return self._ints
 
     def _slot_form(self) -> "_SlotForm":
-        """The :class:`_SlotForm` of a step table, built on first use."""
+        """The :class:`_SlotForm` of a step table, built on first use from
+        its integer form."""
         if self._form is None:
-            self._form = _build_slot_form(self.points, self._entry)
+            self._form = _build_slot_form(*self._int_form())
         return self._form
 
     def all_homs(self) -> Iterable:
@@ -379,16 +381,12 @@ def chistyakov_example(n: int) -> StepModularSpace:
 
 
 def regularize(space: Space) -> Space:
-    """Left-regularize every distance.  Scaled spaces are already
-    continuous in the parameter, so they pass through unchanged."""
+    """Left-regularize every entry of a step table into a new table of its
+    class (a step category for :func:`nablamod.qcat.u_regularize`).  Scaled
+    spaces are already continuous in the parameter, so they pass through."""
     if isinstance(space, ScaledModularSpace):
         return space
-    table = {
-        (x, y): left_regularize(space.w(x, y))
-        for x in space.points
-        for y in space.points
-    }
-    return StepModularSpace(space.points, table)
+    return type(space)(space.points, {k: left_regularize(f) for k, f in space._table.items()})
 
 
 def triangle_closure(space: StepModularSpace) -> StepModularSpace:
@@ -536,7 +534,8 @@ class _SlotForm(NamedTuple):
     and slot ``2c`` the open interval after it, so every entry is constant
     on every slot.  ``ranks[i][j][s]`` is the index in ``vals`` of entry
     (i, j)'s value on slot s, and ``len(vals)`` for infinity.
-    ``candidates`` is :func:`candidate_parameters` of the table.
+    ``candidates`` is :func:`candidate_parameters` of the table.  The form
+    is read off the table's integer form (:meth:`_Table._int_form`).
 
     A verdict at parameter t then locates t once (:meth:`slot`) and reads
     each entry's rank there, and never evaluates a step function
@@ -566,12 +565,11 @@ class _SlotForm(NamedTuple):
         return 2 * lo + 1 if at_cut else 2 * lo
 
 
-def _build_slot_form(pts: tuple[str, ...], entry) -> _SlotForm:
-    """The slot form of the step table ``entry`` on ``pts``: the entries go
-    to one integer scale once, and each entry's cuts are merged into the
-    pooled slots in one pass."""
-    n = len(pts)
-    p_scale, v_scale, ints = _to_ints(entry(a, b) for a in pts for b in pts)
+def _build_slot_form(p_scale: int, v_scale: int, tbl: list[list]) -> _SlotForm:
+    """The slot form of a step table given in integer form (rows of
+    :func:`_int_table` entries on the scales ``p_scale`` and ``v_scale``):
+    each entry's cuts are merged into the pooled slots in one pass."""
+    ints = [fi for row in tbl for fi in row]
     ipos = sorted({p for _, cuts in ints for p, _, _ in cuts})
     ivals = sorted(_finite_values(ints))
     slot_of = {p: 2 * c + 1 for c, p in enumerate(ipos)}
@@ -600,7 +598,7 @@ def _build_slot_form(pts: tuple[str, ...], entry) -> _SlotForm:
     return _SlotForm(
         pos,
         vals,
-        [[merge(ints[i * n + j]) for j in range(n)] for i in range(n)],
+        [[merge(fi) for fi in row] for row in tbl],
         (tuple(t_cands), _eps_candidates({Fraction(0), *vals})),
     )
 
@@ -745,10 +743,10 @@ def _unions(points: tuple[str, ...], gens: Iterable[int]) -> FiniteTopology:
 
 def _specialization(space: Space) -> list[int]:
     """The up-rows of the specialization preorder, as bit masks: the
-    reflexive-transitive closure of the zero-head relation (:func:`_vanishes`),
-    which on a table without m1 or m2 need not be reflexive or transitive."""
-    pts = space.points
-    return FinitePreorder(pts, [(x, y) for x in pts for y in pts if _vanishes(space, x, y)])._up
+    reflexive-transitive closure of the zero-head rows
+    (:func:`_neighborhood_masks`), which on a table without m1 or m2 need
+    not be reflexive or transitive."""
+    return _closure(_neighborhood_masks(space))
 
 
 def _presents(up: list[int], gens: Iterable[int]) -> bool:
@@ -802,49 +800,26 @@ def induced_distance(space: StepModularSpace) -> dict[tuple[str, str], ExtRation
     """The least parameter at which each distance has dropped to the
     parameter itself: inf of {t > 0 : w(t, x, y) <= t}.
 
-    Computed by walking the pieces of w(x, y) in order; within a piece of
-    constant value v the condition v <= t is a half line, so the infimum is
-    found exactly.  Infinity when no parameter ever qualifies.
+    Computed exactly by one walk over the pieces of w(x, y), which stops at
+    the first piece that meets the set.  Infinity when no parameter ever
+    qualifies.
     """
-    out: dict[tuple[str, str], ExtRational] = {}
-    for x in space.points:
-        for y in space.points:
-            f = space.w(x, y)
-            out[(x, y)] = _least_fixed_parameter(f)
-    return out
+    pts = space.points
+    return {(x, y): _least_fixed_parameter(space.w(x, y)) for x in pts for y in pts}
 
 
 def _least_fixed_parameter(f: StepFunction) -> ExtRational:
-    # pieces: (0, p1) head, {p1}, (p1, p2), ..., {pk}, (pk, inf)
-    walls = [c.pos for c in f.cuts]
-    # open piece before each wall, then the wall itself
-    prev = Fraction(0)
-    for i, c in enumerate(f.cuts):
-        v = f.head if i == 0 else f.cuts[i - 1].after
-        hit = _piece_infimum(prev, c.pos, v, last=False)
-        if hit is not None:
-            return ExtRational(hit)
-        if not c.at.is_infinite and c.at.as_fraction() <= c.pos:
-            return ExtRational(c.pos)
-        prev = c.pos
-    v = f.final_value() if f.cuts else f.head
-    hit = _piece_infimum(prev, None, v, last=True)
-    return ExtRational(hit) if hit is not None else ext("inf")
-
-
-def _piece_infimum(
-    a: Fraction, b: Optional[Fraction], v: ExtRational, last: bool
-) -> Optional[Fraction]:
-    # least t in the open interval (a, b) with v <= t, if any
-    if v.is_infinite:
-        return None
-    vf = v.as_fraction()
-    if last:
-        return max(a, vf)
-    assert b is not None
-    if vf >= b:
-        return None
-    return a if vf <= a else vf
+    # f is non-increasing, so {t : f(t) <= t} is an up-set: its infimum is
+    # max(a, v) for the first open piece (a, b) of value v with v < b.  A cut
+    # at b in the set needs no test of its own, since the piece after it
+    # then meets the set too, with infimum b.
+    a, v = ZERO.head, f.head
+    for c in f.cuts:
+        b = ExtRational(c.pos)
+        if v < b:
+            return max(a, v)
+        a, v = b, c.after
+    return max(a, v)  # the last piece (a, inf), never met when v is inf
 
 
 def scaled_induced_distance(

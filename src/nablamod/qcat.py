@@ -5,7 +5,8 @@ enriched in the step-function quantale: points become objects and each
 ordered pair carries a hom given by its distance profile.  The category
 classes here therefore share the spaces' table core
 (:class:`nablamod.modular._Table`), and converting between the two views
-hands the validated table over unchanged.  This module provides that
+hands the validated entries over unchanged (the constructor copies them
+into the new table's own dict).  This module provides that
 categorical presentation (:class:`NablaCategory`), its
 counterpart over an explicit finite quantale (:class:`FiniteQCategory`),
 the conversions between spaces and categories, the open-ball topology,
@@ -57,7 +58,6 @@ from .stepfn import (
     format_step_literal,
     is_left_continuous,
     le_op,  # not called here; bench/test_bench.py checks its tracer wraps this binding
-    left_regularize,
     parse_step_literal,
     well_below_fstep,
 )
@@ -218,8 +218,9 @@ def e_mod(space: StepModularSpace) -> NablaCategory:
     """View a step space as an enriched category.
 
     The distance table already assigns each ordered pair a step function,
-    so the validated table is handed over as the hom table; object order
-    and hom values are untouched.  The split triangle axiom becomes the
+    so its validated entries are handed over as the hom table, which the
+    constructor copies into a dict of its own; object order and hom values
+    are untouched.  The split triangle axiom becomes the
     composition axiom and the zero diagonal becomes the identity axiom.
     """
     if not isinstance(space, StepModularSpace):
@@ -247,15 +248,9 @@ def e_nabla_L(cat: NablaCategory) -> StepModularSpace:
 
 
 def u_regularize(cat: NablaCategory) -> NablaCategory:
-    """Left-regularize every hom."""
-    return NablaCategory(
-        cat.points,
-        {
-            (a, b): left_regularize(cat.hom(a, b))
-            for a in cat.points
-            for b in cat.points
-        },
-    )
+    """Left-regularize every hom: :func:`nablamod.modular.regularize`, which
+    keeps the table's class, on the category's hom table."""
+    return regularize(cat)
 
 
 def verify_diagram(space: StepModularSpace) -> bool:
@@ -417,7 +412,9 @@ class ExtendedQPMetric(_Table):
         return ext(v)  # which refuses negative values itself
 
 
-_CARRIER_CAP = 100_000
+# FinitePoset fills its join and meet tables eagerly, so a carrier costs about
+# the cube of its size to build; at this cap it takes about a second
+_CARRIER_CAP = 200
 
 
 def lawvere_truncated_quantale(
@@ -434,13 +431,10 @@ def lawvere_truncated_quantale(
     top and the unit.
     """
     finite: set[Fraction] = {Fraction(0)}
-    has_inf = False
     for v in values:
-        e = ext(v)
-        if e.is_infinite:
-            has_inf = True
-            continue
-        finite.add(e.as_fraction())  # ext() refuses negative values itself
+        e = ext(v)  # which refuses negative values itself
+        if not e.is_infinite:
+            finite.add(e.as_fraction())
     threshold = 2 * max(finite)
     positives = [f for f in finite if f > 0]
     if positives:

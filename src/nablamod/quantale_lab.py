@@ -39,6 +39,20 @@ __all__ = [
 ]
 
 
+def _closure(rows: list[int]) -> list[int]:
+    """The reflexive-transitive closure of the relation whose bit rows are
+    ``rows`` (bit j of ``rows[i]`` for i related to j): the diagonal added,
+    then one Warshall pass, which lets paths run through element k at
+    step k (Warshall, "A theorem on Boolean matrices", JACM 1962)."""
+    up = [row | 1 << i for i, row in enumerate(rows)]
+    for k, row_k in enumerate(up):
+        bit = 1 << k
+        for i, row in enumerate(up):
+            if row & bit:
+                up[i] = row | row_k
+    return up
+
+
 class FinitePreorder:
     """A reflexive, transitive relation on named elements.
 
@@ -52,30 +66,16 @@ class FinitePreorder:
         if len(set(elems)) != len(elems):
             raise InputError("duplicate element names")
         idx = {e: i for i, e in enumerate(elems)}
-        n = len(elems)
-        up = [1 << i for i in range(n)]
+        up = [0] * len(elems)
         for a, b in pairs:
             if a not in idx:
                 raise InputError(f"unknown element {a!r}")
             if b not in idx:
                 raise InputError(f"unknown element {b!r}")
             up[idx[a]] |= 1 << idx[b]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = row = up[i]
-                m = row
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[j]
-                if acc != row:
-                    up[i] = acc
-                    changed = True
         self.elements: tuple[str, ...] = elems
         self._idx = idx
-        self._up = up  # up[i] = bit row of everything above element i
+        self._up = _closure(up)  # up[i] = bit row of everything above element i
 
     def _i(self, a: str) -> int:
         try:

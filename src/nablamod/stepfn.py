@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _WORD
 
 __all__ = [
     "ExtRational",
@@ -609,8 +608,6 @@ def scale_values(f: StepFunction, c: Union[RationalLike, ExtRational]) -> StepFu
 # ---------------------------------------------------------------------------
 # Textual literal.
 
-_TOKEN_RE = re.compile(r"\S+")
-
 
 def format_step_literal(f: StepFunction) -> str:
     parts = [f"step head={f.head}"]
@@ -637,7 +634,7 @@ def parse_step_literal(text: str, *, line: int = 1, col_offset: int = 0) -> Step
     ``line``/``col_offset`` locate the literal inside a larger file so parse
     errors point at the right token.
     """
-    tokens = [(m.group(0), col_offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    tokens = [(m.group(0), col_offset + m.start() + 1) for m in _WORD.finditer(text)]
 
     def fail(msg: str, col: int):
         raise ParseError(msg, line, col)

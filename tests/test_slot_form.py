@@ -42,6 +42,7 @@ from nablamod import (
     time_rescale,
 )
 from nablamod.modular import _build_slot_form, _first_tables, _midpoints, _nested_rows
+from nablamod.stepfn import _int_table
 from test_grid_rows import (
     STEP_SPACES,
     cellwise_uniformly_continuous,
@@ -126,7 +127,7 @@ def test_candidates_come_from_the_form(name, space):
     assert list(eps_cands) == expect_e
 
 
-def test_ball_side_keeps_bottom_out_at_the_infinite_radius():
+def test_ball_rows_at_finite_radii_and_ball_topology_match_ball():
     cat = e_mod(dict(EDGE_TABLES)["with_bottom"])
     pts = cat.points
     # through ball_topology: the literal open-ball topology, bottom included
@@ -193,7 +194,7 @@ def test_distinct_tables_never_see_each_others_form():
     other = random_closed_space(random.Random(5), 4)
     # build in one order, then compare each with a fresh build of its own
     for table in (s, r, other, s, e_mod(r)):
-        assert table._slot_form() == _build_slot_form(table.points, table._entry)
+        assert table._slot_form() == _build_slot_form(*_int_table(table.points, table._entry))
     assert s._slot_form() != r._slot_form()  # r moved the at values of the jumps
     assert candidate_parameters(other) != candidate_parameters(s)
 

@@ -17,6 +17,7 @@ of ``verify``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import random
@@ -112,18 +113,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     obj = _load(args.file, close=args.close)
     if isinstance(obj, (StepModularSpace, ScaledModularSpace)):
         rep = check_axioms(obj)
-        print(f"m1 {_bool(rep.m1)}")
-        print(f"m2 {_bool(rep.m2)}")
-        print(f"m3 {_bool(rep.m3)}")
-        print(f"m4 {_bool(rep.m4)}")
-        print(f"left_continuous {_bool(rep.left_continuous)}")
-        return 0 if rep.m1 and rep.m2 else 1
-    rep = check_qcategory(obj)
-    print(f"qc1 {_bool(rep.qc1)}")
-    print(f"qc2 {_bool(rep.qc2)}")
-    print(f"separated {_bool(rep.separated)}")
-    print(f"symmetric {_bool(rep.symmetric)}")
-    return 0 if rep.qc1 and rep.qc2 else 1
+    else:
+        rep = check_qcategory(obj)
+    values = dataclasses.astuple(rep)
+    for field, value in zip(dataclasses.fields(rep), values):
+        print(f"{field.name} {_bool(value)}")
+    return 0 if all(values[:2]) else 1
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:

@@ -1,16 +1,22 @@
-"""Exception types shared across the package, and the line tokenizer that
-the three file parsers share to place their parse errors.
+"""Exception types shared across the package, the line tokenizer that the
+three file parsers share to place their parse errors, and the table file
+format itself.
 
 The split mirrors the three failure modes the command line distinguishes:
 unusable input (:class:`InputError` and its parse subclass), a broken internal
 contract (:class:`ContractError`), and a deliberately enforced size limit
 (:class:`ResourceBoundError`).
+
+Space and category files are one format, a table of pairs: a header line,
+``point <id>`` lines and one entry line per pair.  :func:`_read_table` reads
+it and :func:`_write_table` writes it; the header decides which entry
+directives a file may use and how their values are read.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 
 class NablamodError(Exception):
@@ -78,23 +84,57 @@ def _known(
     return name
 
 
-def _point(names: dict[str, None], tokens: list[_Token], lineno: int) -> None:
-    """Declare the point of a ``point <id>`` line."""
-    if len(tokens) != 2:
-        raise ParseError("'point' takes one name", lineno, tokens[0][1])
-    name, col = tokens[1]
-    if name in names:
-        raise ParseError(f"duplicate point {name!r}", lineno, col)
-    names[name] = None
+# An entry directive: the message for a line with too few words, whether it
+# needs exactly four, and the reader of its value from (body, tokens, lineno).
+# A directive of the other kind of file has no reader and its message is the
+# whole error.
+_Entry = tuple[str, bool, Optional[Callable[[str, list[_Token], int], object]]]
 
 
-def _pair(
-    table: dict, names: dict[str, None], tokens: list[_Token], lineno: int
-) -> tuple[str, str]:
-    """The pair ``<a> <b>`` after the directive: both declared points, and
-    not given before."""
-    a = _known(names, tokens[1], lineno)
-    b = _known(names, tokens[2], lineno)
-    if (a, b) in table:
-        raise ParseError(f"duplicate entry for ({a}, {b})", lineno, tokens[0][1])
-    return a, b
+def _read_table(
+    text: str,
+    family: str,
+    header: Callable[[list[_Token], int], tuple[object, dict[str, _Entry]]],
+) -> tuple[object, dict[str, None], dict[tuple[str, str], object]]:
+    """``(kind, points, table)`` of a space or category file.  ``family`` is
+    the header word; ``header`` checks the first line and returns the file's
+    kind and its entry directives.  An entry line ``<directive> <a> <b>
+    <value>`` has its word count checked before its pair."""
+    kind: object = None
+    lines: Optional[dict[str, _Entry]] = None
+    points: dict[str, None] = {}
+    table: dict[tuple[str, str], object] = {}
+    for lineno, body, tokens in _lines(text):
+        head, head_col = tokens[0]
+        if lines is None:
+            kind, lines = header(tokens, lineno)
+        elif head == family:
+            raise ParseError("duplicate header", lineno, head_col)
+        elif head == "point":
+            if len(tokens) != 2:
+                raise ParseError("'point' takes one name", lineno, head_col)
+            name, col = tokens[1]
+            if name in points:
+                raise ParseError(f"duplicate point {name!r}", lineno, col)
+            points[name] = None
+        elif head in lines:
+            message, exact, read = lines[head]
+            if read is None or len(tokens) < 4 or exact and len(tokens) != 4:
+                raise ParseError(message, lineno, head_col)
+            key = (_known(points, tokens[1], lineno), _known(points, tokens[2], lineno))
+            if key in table:
+                raise ParseError("duplicate entry for (%s, %s)" % key, lineno, head_col)
+            table[key] = read(body, tokens, lineno)
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno, head_col)
+    if lines is None:
+        raise ParseError(f"empty file: expected a {family!r} header", 1, 1)
+    return kind, points, table
+
+
+def _write_table(header: str, word: str, table, show: Callable[[object], str]) -> str:
+    """The file :func:`_read_table` reads back as ``table``."""
+    pts = table.points
+    lines = [header, *(f"point {p}" for p in pts)]
+    lines += [f"{word} {a} {b} {show(table._table[(a, b)])}" for a in pts for b in pts]
+    return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from operator import or_
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, ResourceBoundError
-from .errors import _lines, _pair, _point
+from .errors import _read_table, _write_table
 from .quantale_lab import _closure
 from .stepfn import (
     BOTTOM,
@@ -383,9 +383,12 @@ def chistyakov_example(n: int) -> StepModularSpace:
 def regularize(space: Space) -> Space:
     """Left-regularize every entry of a step table into a new table of its
     class (a step category for :func:`nablamod.qcat.u_regularize`).  Scaled
-    spaces are already continuous in the parameter, so they pass through."""
+    spaces are already continuous in the parameter, so they pass through;
+    any other table (a finite category, an extended metric) is refused."""
     if isinstance(space, ScaledModularSpace):
         return space
+    if not all(isinstance(f, StepFunction) for f in space.all_homs()):
+        raise InputError(f"{type(space).__name__} has no step entries to regularize")
     return type(space)(space.points, {k: left_regularize(f) for k, f in space._table.items()})
 
 
@@ -1119,6 +1122,44 @@ def scaled_strongly_uniformly_continuous(m: PointMap) -> bool:
 # ---------------------------------------------------------------------------
 # The space file format.
 
+def _step_entry(body: str, tokens: list, lineno: int) -> StepFunction:
+    """The step literal that ends an entry line."""
+    col = tokens[3][1]
+    return parse_step_literal(body[col - 1 :], line=lineno, col_offset=col - 1)
+
+
+def _value_entry(body: str, tokens: list, lineno: int) -> Fraction:
+    """The nonnegative fraction that ends a ``d`` line."""
+    v, col = tokens[3]
+    try:
+        val = Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad value {v!r}", lineno, col) from None
+    if val < 0:
+        raise ParseError(f"negative value {v!r}", lineno, col)
+    return val
+
+
+# The entry directives of each kind of space file (see errors._read_table).
+_SPACE_LINES = {
+    "step": {
+        "w": ("'w' needs two points and a step literal", False, _step_entry),
+        "d": ("'d' lines belong to scaled spaces", False, None),
+    },
+    "scaled": {
+        "w": ("'w' lines belong to step spaces", False, None),
+        "d": ("'d' needs two points and a value", True, _value_entry),
+    },
+}
+
+
+def _space_header(tokens: list, lineno: int):
+    kind = tokens[1][0] if len(tokens) == 2 and tokens[0][0] == "space" else None
+    if kind not in _SPACE_LINES:
+        raise ParseError("expected header 'space step' or 'space scaled'", lineno, tokens[0][1])
+    return kind, _SPACE_LINES[kind]
+
+
 def parse_space(text: str, *, close: bool = False) -> Space:
     """Parse the line-oriented space format.
 
@@ -1129,59 +1170,7 @@ def parse_space(text: str, *, close: bool = False) -> Space:
     step space is completed by treating them as infinite and taking the
     triangle closure (scaled spaces cannot be closed this way).
     """
-    kind: Optional[str] = None
-    points: dict[str, None] = {}
-    table: dict[tuple[str, str], Union[StepFunction, Fraction]] = {}
-
-    for lineno, body, tokens in _lines(text):
-        head, head_col = tokens[0]
-        if kind is None:
-            if head != "space" or len(tokens) != 2 or tokens[1][0] not in (
-                "step",
-                "scaled",
-            ):
-                raise ParseError(
-                    "expected header 'space step' or 'space scaled'",
-                    lineno,
-                    head_col,
-                )
-            kind = tokens[1][0]
-            continue
-        if head == "space":
-            raise ParseError("duplicate header", lineno, head_col)
-        if head == "point":
-            _point(points, tokens, lineno)
-        elif head == "w":
-            if kind != "step":
-                raise ParseError("'w' lines belong to step spaces", lineno, head_col)
-            if len(tokens) < 4:
-                raise ParseError(
-                    "'w' needs two points and a step literal", lineno, head_col
-                )
-            key = _pair(table, points, tokens, lineno)
-            lit_col = tokens[3][1]
-            table[key] = parse_step_literal(
-                body[lit_col - 1 :], line=lineno, col_offset=lit_col - 1
-            )
-        elif head == "d":
-            if kind != "scaled":
-                raise ParseError("'d' lines belong to scaled spaces", lineno, head_col)
-            if len(tokens) != 4:
-                raise ParseError("'d' needs two points and a value", lineno, head_col)
-            key = _pair(table, points, tokens, lineno)
-            v, col_v = tokens[3]
-            try:
-                val = Fraction(v)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad value {v!r}", lineno, col_v) from None
-            if val < 0:
-                raise ParseError(f"negative value {v!r}", lineno, col_v)
-            table[key] = val
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno, head_col)
-
-    if kind is None:
-        raise ParseError("empty file: expected a 'space' header", 1, 1)
+    kind, points, table = _read_table(text, "space", _space_header)
     if not points:
         raise InputError("space file declares no points")
 
@@ -1200,19 +1189,6 @@ def parse_space(text: str, *, close: bool = False) -> Space:
 
 def format_space(space: Space) -> str:
     """Serialize a space so that parsing the output reproduces it exactly."""
-    lines = []
     if isinstance(space, ScaledModularSpace):
-        lines.append("space scaled")
-        for p in space.points:
-            lines.append(f"point {p}")
-        for a in space.points:
-            for b in space.points:
-                lines.append(f"d {a} {b} {space.d(a, b)}")
-    else:
-        lines.append("space step")
-        for p in space.points:
-            lines.append(f"point {p}")
-        for a in space.points:
-            for b in space.points:
-                lines.append(f"w {a} {b} {format_step_literal(space.w(a, b))}")
-    return "\n".join(lines) + "\n"
+        return _write_table("space scaled", "d", space, str)
+    return _write_table("space step", "w", space, format_step_literal)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import ContractError, InputError, ParseError, _lines, _pair, _point
+from .errors import ContractError, InputError, ParseError, _read_table, _write_table
 from .modular import (
     FiniteTopology,
     PointMap,
@@ -37,6 +37,7 @@ from .modular import (
     _nested_rows,
     _presents,
     _specialization,
+    _step_entry,
     _table_axioms,
     _unions,
     candidate_parameters,
@@ -52,13 +53,11 @@ from .quantale_lab import (
 from .stepfn import (
     ExtRational,
     RationalLike,
-    StepFunction,
     as_fraction,
     ext,
     format_step_literal,
     is_left_continuous,
     le_op,  # not called here; bench/test_bench.py checks its tracer wraps this binding
-    parse_step_literal,
     well_below_fstep,
 )
 
@@ -513,6 +512,9 @@ def to_eqpm(cat: FiniteQCategory) -> ExtendedQPMetric:
 # File format.
 
 
+_HOM = "'hom' needs two points and a value"
+
+
 def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
     """Parse the line-oriented category format.
 
@@ -522,73 +524,40 @@ def parse_qcat(text: str, *, base_path: Optional[str] = None) -> Category:
     case, a quantale element id in the finite case.  Diagonal homs default
     to zero respectively the unit.
     """
-    kind: Optional[str] = None
-    quantale: Optional[FiniteQuantale] = None
-    elements: set[str] = set()
-    points: dict[str, None] = {}
-    hom: dict[tuple[str, str], Union[StepFunction, str]] = {}
 
-    for lineno, body, tokens in _lines(text):
-        head, head_col = tokens[0]
-        if kind is None:
-            if head != "qcat" or len(tokens) < 2 or tokens[1][0] not in (
-                "nabla",
-                "finite",
-            ):
-                raise ParseError(
-                    "expected header 'qcat nabla' or 'qcat finite <lattice-file>'",
-                    lineno,
-                    head_col,
-                )
-            kind = tokens[1][0]
-            if kind == "finite":
-                if len(tokens) != 3:
-                    raise ParseError(
-                        "'qcat finite' needs a lattice file path",
-                        lineno,
-                        head_col,
-                    )
-                quantale = _load_quantale(tokens[2][0], base_path)
-                elements = set(quantale.elements)
-            elif len(tokens) != 2:
+    def header(tokens: list, lineno: int):
+        head_col = tokens[0][1]
+        kind = tokens[1][0] if len(tokens) >= 2 and tokens[0][0] == "qcat" else None
+        if kind == "nabla":
+            if len(tokens) != 2:
                 raise ParseError("'qcat nabla' takes no arguments", lineno, head_col)
-            continue
-        if head == "qcat":
-            raise ParseError("duplicate header", lineno, head_col)
-        if head == "point":
-            _point(points, tokens, lineno)
-        elif head == "hom":
-            if len(tokens) < 4:
-                raise ParseError(
-                    "'hom' needs two points and a value", lineno, head_col
-                )
-            key = _pair(hom, points, tokens, lineno)
-            if kind == "nabla":
-                lit_col = tokens[3][1]
-                hom[key] = parse_step_literal(
-                    body[lit_col - 1 :], line=lineno, col_offset=lit_col - 1
-                )
-            else:
-                if len(tokens) != 4:
-                    raise ParseError(
-                        "'hom' takes a single element id here", lineno, head_col
-                    )
-                v, col_v = tokens[3]
-                if v not in elements:
-                    raise ParseError(
-                        f"{v!r} is not an element of the quantale", lineno, col_v
-                    )
-                hom[key] = v
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno, head_col)
+            return None, {"hom": (_HOM, False, _step_entry)}
+        if kind != "finite":
+            raise ParseError(
+                "expected header 'qcat nabla' or 'qcat finite <lattice-file>'",
+                lineno,
+                head_col,
+            )
+        if len(tokens) != 3:
+            raise ParseError("'qcat finite' needs a lattice file path", lineno, head_col)
+        quantale = _load_quantale(tokens[2][0], base_path)
+        elements = set(quantale.elements)
 
-    if kind is None:
-        raise ParseError("empty file: expected a 'qcat' header", 1, 1)
+        def element(body: str, tokens: list, lineno: int) -> str:
+            if len(tokens) != 4:
+                raise ParseError("'hom' takes a single element id here", lineno, tokens[0][1])
+            v, col_v = tokens[3]
+            if v not in elements:
+                raise ParseError(f"{v!r} is not an element of the quantale", lineno, col_v)
+            return v
+
+        return quantale, {"hom": (_HOM, False, element)}
+
+    quantale, points, hom = _read_table(text, "qcat", header)
     if not points:
         raise InputError("category file declares no points")
-    if kind == "nabla":
+    if quantale is None:
         return NablaCategory(points, hom)
-    assert quantale is not None
     return FiniteQCategory(quantale, points, hom)
 
 
@@ -612,10 +581,4 @@ def format_qcat(cat: NablaCategory) -> str:
     quantale lives in a separate file this function cannot invent."""
     if not isinstance(cat, NablaCategory):
         raise InputError("only step-function categories can be serialized")
-    lines = ["qcat nabla"]
-    for p in cat.points:
-        lines.append(f"point {p}")
-    for a in cat.points:
-        for b in cat.points:
-            lines.append(f"hom {a} {b} {format_step_literal(cat.hom(a, b))}")
-    return "\n".join(lines) + "\n"
+    return _write_table("qcat nabla", "hom", cat, format_step_literal)

@@ -6,6 +6,8 @@ words too, so that a change to the shared table and tokenizer code cannot
 alter what a user reads.
 """
 
+from pathlib import Path
+
 import pytest
 
 from nablamod import (
@@ -26,6 +28,8 @@ from nablamod import (
     parse_lattice,
     parse_qcat,
     parse_space,
+    regularize,
+    u_regularize,
 )
 
 STEP = StepModularSpace
@@ -121,6 +125,14 @@ def test_equality_and_hash_across_table_classes():
     assert len({c1, c2}) == 1
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def parse_qcat_in_data(text):
+    """parse_qcat with lattice file paths taken relative to tests/data."""
+    return parse_qcat(text, base_path=str(DATA))
+
+
 LAT = (
     "elem 0\nelem 1\nleq 0 1\n"
     "op 0 0 0\nop 0 1 0\nop 1 0 0\nop 1 1 1\nunit 1\n"
@@ -180,6 +192,32 @@ LAT = (
         (parse_qcat, "qcat finite\n", "1:1: 'qcat finite' needs a lattice file path"),
         (parse_lattice, "elem\n", "1:1: 'elem' takes 1 argument(s), got 0"),
         (parse_lattice, "elem a\nop a a\n", "2:1: 'op' takes 3 argument(s), got 2"),
+        (parse_space, "space step extra\n", "1:1: expected header 'space step' or 'space scaled'"),
+        (parse_qcat, "qcat\n", "1:1: expected header 'qcat nabla' or 'qcat finite <lattice-file>'"),
+        (parse_qcat, "point x\n", "1:1: expected header 'qcat nabla' or 'qcat finite <lattice-file>'"),
+        (parse_qcat, "qcat nabla x\n", "1:1: 'qcat nabla' takes no arguments"),
+        (parse_qcat, "qcat nabla\n  qcat nabla\n", "2:3: duplicate header"),
+        (parse_qcat, "\n# only a comment\n", "1:1: empty file: expected a 'qcat' header"),
+        # entry directives of the other kind of space
+        (parse_space, "space scaled\npoint a\nw a a step head=0\n", "3:1: 'w' lines belong to step spaces"),
+        (parse_space, "space step\npoint a\n d a a 0\n", "3:2: 'd' lines belong to scaled spaces"),
+        (parse_space, "space scaled\npoint a\nw a\n", "3:1: 'w' lines belong to step spaces"),
+        # entry arities: the word count is checked before the pair
+        (parse_space, "space step\npoint a\nw a a\n", "3:1: 'w' needs two points and a step literal"),
+        (parse_space, "space step\npoint a\nw a q\n", "3:1: 'w' needs two points and a step literal"),
+        (parse_space, "space scaled\npoint a\nd a a\n", "3:1: 'd' needs two points and a value"),
+        (parse_space, "space scaled\npoint a\nd a q 1 2\n", "3:1: 'd' needs two points and a value"),
+        (parse_qcat, "qcat nabla\npoint x\nhom x x\n", "3:1: 'hom' needs two points and a value"),
+        (parse_qcat, "qcat nabla\npoint x\nhom q\n", "3:1: 'hom' needs two points and a value"),
+        # values
+        (parse_space, "space scaled\npoint a\nd a a 1/0\n", "3:7: bad value '1/0'"),
+        (parse_space, "space scaled\npoint a\nd a a x\n", "3:7: bad value 'x'"),
+        (parse_space, "space scaled\npoint a\nd a a -1\n", "3:7: negative value '-1'"),
+        # a finite category: the element check comes after the pair check
+        (parse_qcat_in_data, "qcat finite two.lat\npoint x\nhom x x\n", "3:1: 'hom' needs two points and a value"),
+        (parse_qcat_in_data, "qcat finite two.lat\npoint x\nhom x q 1 0\n", "3:7: unknown point 'q'"),
+        (parse_qcat_in_data, "qcat finite two.lat\npoint x\nhom x x 1 0\n", "3:1: 'hom' takes a single element id here"),
+        (parse_qcat_in_data, "qcat finite two.lat\nqcat nabla\n", "2:1: duplicate header"),
     ],
 )
 def test_parse_error_texts(parse, text, expected):
@@ -198,3 +236,53 @@ def test_finite_qcat_element_error_text(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_qcat(dup, base_path=str(tmp_path))
     assert str(exc.value) == "4:1: duplicate entry for (x, x)"
+
+
+@pytest.mark.parametrize(
+    "parse,expected",
+    [
+        (lambda: parse_space("space step\n"), "space file declares no points"),
+        (lambda: parse_space("space scaled # none\n"), "space file declares no points"),
+        (lambda: parse_qcat("qcat nabla\n"), "category file declares no points"),
+        (lambda: parse_qcat_in_data("qcat finite two.lat\n"), "category file declares no points"),
+        (
+            lambda: parse_space("space scaled\npoint a\n", close=True),
+            "scaled spaces cannot be completed with --close",
+        ),
+    ],
+)
+def test_table_file_input_error_texts(parse, expected):
+    with pytest.raises(InputError) as exc:
+        parse()
+    assert type(exc.value) is InputError
+    assert str(exc.value) == expected
+
+
+def test_lattice_file_is_loaded_at_the_header_line():
+    # a missing lattice file is reported before any later line is read
+    with pytest.raises(InputError) as exc:
+        parse_qcat_in_data("qcat finite nowhere.lat\nmystery\n")
+    assert type(exc.value) is InputError
+    assert str(exc.value).startswith("cannot read lattice file 'nowhere.lat': ")
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        from_preorder(FinitePreorder(["x", "y"], [("x", "y")])),
+        EQPM(["a", "b"], {("a", "b"): 1, ("b", "a"): "inf"}),
+    ],
+    ids=["finite_category", "extended_metric"],
+)
+def test_regularize_refuses_tables_without_step_entries(table):
+    name = type(table).__name__
+    for regular in (regularize, u_regularize):
+        with pytest.raises(InputError) as exc:
+            regular(table)
+        assert type(exc.value) is InputError
+        assert str(exc.value) == f"{name} has no step entries to regularize"
+
+
+def test_regularize_passes_scaled_spaces_through():
+    space = SCALED(["a", "b"], {("a", "b"): 1, ("b", "a"): 2})
+    assert regularize(space) is space

@@ -37,11 +37,12 @@ from .stepfn import (
     BOTTOM,
     ZERO,
     _atoms,
+    _below_conv,
     _finite_values,
     _from_ints,
     _int_table,
     _le,
-    _pointwise_int,
+    _probe,
     _sweep,
     _to_ints,
     ExtRational,
@@ -288,13 +289,17 @@ def _table_axioms(table: _Table) -> tuple[bool, bool, bool, bool, bool]:
     The quantale is integral (its unit, the zero function, is its top), so
     ``a * b <= a * top = a`` in its order: a convolution is pointwise at
     least either leg.  A triple whose target lies pointwise under a leg holds
-    without convolving; that decides every triple with x == y or y == z."""
+    without convolving; that decides every triple with x == y or y == z.
+    Every other triple is tested against the convolution of its legs without
+    building it (:func:`stepfn._below_conv`), from each entry's atoms and
+    probe, both built once per table; no convolution is built here."""
     tbl = table._int_form()[2]
     n = len(tbl)
     atoms = [[_atoms(f, False) for f in row] for row in tbl]
+    probes = [[_probe(f) for f in row] for row in tbl]
     m1 = all(tbl[i][i] == (0, ()) for i in range(n))
     m2 = all(
-        _le(a, c) or _le(b, c) or _le(_sweep(atoms[i][j], atoms[j][k]), c)
+        _le(a, c) or _le(b, c) or _below_conv(probes[i][k], atoms[i][j], atoms[j][k])
         for i, row in enumerate(tbl)
         for j, a in enumerate(row)
         if j != i
@@ -404,6 +409,10 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
     closing under ``oplus_interior`` instead keeps larger ``at`` values at
     left jumps.  The whole relaxation runs on the table's integer form, with
     each entry's atoms built once and rebuilt only when the entry is relaxed.
+    Each relaxation is one sweep with the entry's own atoms as its floor
+    (:func:`stepfn._sweep`): it builds the pointwise minimum of the entry and
+    the convolution directly, in canonical form, so the entry is relaxed
+    exactly when that minimum differs from it.
     The relaxed table, on the input's scales, is kept as the returned space's
     integer form (:meth:`_Table._int_form`), which the axiom check reads.
 
@@ -433,10 +442,10 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
                 right, cur = tbl[k][j], tbl[i][j]
                 if _le(left, cur) or _le(right, cur):
                     continue
-                via = _sweep(left_atoms, atoms[k][j])
-                if not _le(via, cur):
-                    tbl[i][j] = _pointwise_int([cur, via], min)
-                    atoms[i][j] = _atoms(tbl[i][j], True)
+                new = _sweep(left_atoms, atoms[k][j], atoms[i][j])
+                if new != cur:
+                    tbl[i][j] = new
+                    atoms[i][j] = _atoms(new, True)
     back = _from_ints([f for row in tbl for f in row], p_scale, v_scale)
     closed = StepModularSpace(pts, dict(zip(product(pts, pts), back)))
     closed._ints = p_scale, v_scale, tbl

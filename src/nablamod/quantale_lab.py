@@ -255,11 +255,16 @@ def well_below(lattice: Union[FinitePoset, FiniteQuantale], a: str, b: str) -> b
     has its join under it, so cannot reach ``b``.
     """
     p = _poset_of(lattice)
-    blockers = [s for s in p.elements if not p.leq(a, s)]
-    j = p.join_all(blockers)
+    return not p.leq(b, _blocker_join(p, a))
+
+
+def _blocker_join(p: FinitePoset, a: str) -> str:
+    """The join of the elements that do not dominate ``a``: the ``b`` that
+    ``a`` is well below are those that escape it (:func:`well_below`)."""
+    j = p.join_all([s for s in p.elements if not p.leq(a, s)])
     if j is None:
         raise InputError("order is not a lattice")
-    return not p.leq(b, j)
+    return j
 
 
 def well_below_by_definition(
@@ -295,13 +300,13 @@ def well_below_by_definition(
 
 
 def raney_check(lattice: Union[FinitePoset, FiniteQuantale]) -> bool:
-    """Every element must be the join of the elements well below it."""
+    """Every element must be the join of the elements well below it.
+
+    Quadratic: each element's blocker join (:func:`well_below`) is built
+    once, and ``a`` is well below ``b`` iff ``b`` escapes it."""
     p = _poset_of(lattice)
-    for b in p.elements:
-        approx = [a for a in p.elements if well_below(p, a, b)]
-        if p.join_all(approx) != b:
-            return False
-    return True
+    blocks = [(a, _blocker_join(p, a)) for a in p.elements]
+    return all(p.join_all([a for a, j in blocks if not p.leq(b, j)]) == b for b in p.elements)
 
 
 def vdl_check(lattice: Union[FinitePoset, FiniteQuantale]) -> dict[str, bool]:

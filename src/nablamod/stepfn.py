@@ -406,9 +406,10 @@ def _atoms(fn: _IFn, with_boundary: bool) -> tuple[list, list]:
     return [a for a in pts if a[1] != math.inf], [a for a in ops if a[1] != math.inf]
 
 
-def _least_sums(fa: list, ga: list) -> dict:
-    """For each start ``p + q`` of a pair of atoms, the least value ``u + v``."""
-    best: dict = {}
+def _least_sums(fa: list, ga: list, floor: Iterable) -> dict:
+    """For each start ``p + q`` of a pair of atoms, the least value ``u + v``,
+    seeded with the ``(start, value)`` atoms of ``floor`` (distinct starts)."""
+    best = dict(floor)
     for p, u in fa:
         for q, v in ga:
             s, w = p + q, u + v
@@ -417,15 +418,22 @@ def _least_sums(fa: list, ga: list) -> dict:
     return best
 
 
-def _sweep(fa: tuple[list, list], ga: tuple[list, list]) -> _IFn:
-    """The convolution of two functions given by their :func:`_atoms`.
+def _sweep(fa: tuple[list, list], ga: tuple[list, list], floor=((), ())) -> _IFn:
+    """The convolution of two functions given by their :func:`_atoms`, or
+    its pointwise minimum with ``floor``, given by its atoms too.
 
     A point plus an open piece is never below the open piece starting at the
     same cut plus that open piece, so only point + point sums (closed) and
-    open + open sums (open) are kept.
+    open + open sums (open) are kept.  A non-increasing function is, at each
+    ``t``, the least of its own atoms starting at or before ``t`` (strictly
+    before, if open), so the floor's atoms join the sums as they are and the
+    result is the minimum, in canonical form, from the one running minimum.
+    Only the closure and the public convolutions build a convolution; the
+    axiom checks compare against one with :func:`_below_conv` instead.
     """
     inf = math.inf
-    closed, opened = _least_sums(fa[0], ga[0]), _least_sums(fa[1], ga[1])
+    closed = _least_sums(fa[0], ga[0], floor[0])
+    opened = _least_sums(fa[1], ga[1], floor[1])
     head = cur = min(closed.pop(0, inf), opened.pop(0, inf))
     cuts = []
     for s in sorted(closed.keys() | opened.keys()):
@@ -435,6 +443,38 @@ def _sweep(fa: tuple[list, list], ga: tuple[list, list]) -> _IFn:
             cuts.append((s, at, after))
             cur = after
     return head, tuple(cuts)
+
+
+def _probe(c: _IFn) -> tuple[list, list, list]:
+    """The cut positions, the ``at`` values and the piece values (head
+    first) of ``c``, as :func:`_below_conv` reads them."""
+    head, cuts = c
+    return [p for p, _, _ in cuts], [a for _, a, _ in cuts], [head, *(b for _, _, b in cuts)]
+
+
+def _below_conv(probe: tuple[list, list, list], fa: tuple[list, list], ga: tuple[list, list]) -> bool:
+    """``_le(_sweep(fa, ga), c)`` for the ``c`` of ``probe``
+    (:func:`_probe`), without building the convolution.
+
+    The convolution at ``t`` is the least ``u + v`` over the atom pairs
+    starting at or before ``t`` (strictly before, for open pairs), and ``c``
+    is non-increasing.  So ``c`` lies under it iff ``c(s) <= u + v`` for
+    every closed pair starting at ``s`` (``c(0)`` read as the head) and
+    ``c(s+) <= u + v`` for every open one: one bisection per pair, stopping
+    at the first pair that fails.
+    """
+    pos, ats, vals = probe
+    for p, u in fa[0]:
+        for q, v in ga[0]:
+            s = p + q
+            i = bisect_right(pos, s)
+            if (ats[i - 1] if i and pos[i - 1] == s else vals[i]) > u + v:
+                return False
+    for p, u in fa[1]:
+        for q, v in ga[1]:
+            if vals[bisect_right(pos, p + q)] > u + v:
+                return False
+    return True
 
 
 def _conv(f: _IFn, g: _IFn, with_boundary: bool) -> _IFn:

@@ -184,7 +184,9 @@ def test_pruned_loops_match_the_unpruned_ones():
 
 
 def test_the_bound_saves_convolutions(monkeypatch):
-    # the pruned loops convolve prebuilt atoms with ``modular._sweep``; the
+    # the pruned closure convolves prebuilt atoms with ``modular._sweep``;
+    # the pruned m2 loop builds no convolution (``_below_conv`` tests each
+    # undecided triple), so ``pruned`` counts the closure's sweeps alone.  The
     # reference loops call ``stepfn._conv``, which reaches ``stepfn._sweep``
     # and so is not counted twice
     calls = {"pruned": 0, "unpruned": 0}

@@ -7,7 +7,10 @@ forms, which is sound because the forms on one scale are canonical.
 form and builds the result's step functions with ``_from_ints``, which skips
 the constructor's checks.  Each of these is checked here against the literal
 ``StepFunction`` definition it replaces, and the closure's output against
-the unpruned m2 loop of ``test_dominance_bound``.
+the unpruned m2 loop of ``test_dominance_bound``.  The two kernels that
+stand in for a convolution followed by a comparison, ``_below_conv`` (the
+m2 loop) and the floored ``_sweep`` (the closure), are checked against that
+convolution and comparison.
 """
 
 import math
@@ -35,7 +38,17 @@ from nablamod import (
 )
 from nablamod import modular
 from nablamod.modular import _int_table
-from nablamod.stepfn import _conv, _from_ints, _pointwise_int, _to_ints
+from nablamod.stepfn import (
+    _atoms,
+    _below_conv,
+    _conv,
+    _from_ints,
+    _le,
+    _pointwise_int,
+    _probe,
+    _sweep,
+    _to_ints,
+)
 from test_dominance_bound import JUMP, half_empty, unpruned_m2
 from test_nabla import odd_step
 
@@ -272,18 +285,83 @@ def test_from_ints_matches_the_validating_constructor():
 
 
 # ---------------------------------------------------------------------------
-# The m2 loop still convolves the triples the integral bound leaves open.
+# The kernels that stand in for a convolution and a comparison.
+
+
+def kernel_triples():
+    """Seeded ``(f, g, c)`` on common scales, from :func:`draw` (so with
+    BOTTOM, ZERO, infinite heads and cuts on thirds, fifths and sevenths),
+    in both boundary modes.  ``c`` is a drawn function, the convolution of
+    ``f`` and ``g`` itself, its pointwise minimum or maximum with a drawn
+    function, or the convolution one step too high: its cuts moved one
+    position unit right, or its finite values raised by one value unit.
+    All but the first put cuts of ``c`` on the starts of atom pairs."""
+    rng = random.Random(233)
+    out = []
+    for _ in range(2400):
+        wb = rng.random() < 0.5
+        _, _, (f, g, d) = _to_ints([draw(rng, 4) for _ in range(3)])
+        conv = head, cuts = _conv(f, g, wb)
+        c = rng.choice(
+            (
+                d,
+                conv,
+                _pointwise_int([conv, d], min),
+                _pointwise_int([conv, d], max),
+                (head, tuple((p + 1, a, b) for p, a, b in cuts)),
+                (head + 1, tuple((p, a + 1, b + 1) for p, a, b in cuts)),
+            )
+        )
+        out.append((f, g, c, wb))
+    return out
+
+
+def test_below_conv_is_the_comparison_with_the_convolution():
+    seen = {True: 0, False: 0}
+    for f, g, c, wb in kernel_triples():
+        fa, ga = _atoms(f, wb), _atoms(g, wb)
+        expected = _le(_sweep(fa, ga), c)
+        assert _below_conv(_probe(c), fa, ga) == expected, (f, g, c, wb)
+        seen[expected] += 1
+    assert seen[False] * 3 >= sum(seen.values()) and seen[True] * 3 >= sum(seen.values())
+
+
+def test_floored_sweep_is_the_minimum_with_the_floor():
+    # ``c`` is the entry the closure relaxes: the floored sweep is its
+    # pointwise minimum with the convolution, and it differs from ``c``
+    # exactly when the convolution is somewhere smaller
+    relaxed = 0
+    triples = kernel_triples()
+    for f, g, c, wb in triples:
+        fa, ga = _atoms(f, wb), _atoms(g, wb)
+        conv = _sweep(fa, ga)
+        new = _sweep(fa, ga, _atoms(c, wb))
+        assert new == _pointwise_int([c, conv], min), (f, g, c, wb)
+        assert (new != c) == (not _le(conv, c))
+        relaxed += new != c
+    assert 3 * relaxed >= len(triples) and 3 * relaxed <= 2 * len(triples)
+
+
+# ---------------------------------------------------------------------------
+# The m2 loop still tests the triples the integral bound leaves open.
 
 
 def test_m2_sweeps_exactly_the_undecided_triples(monkeypatch):
-    calls = [0]
-    sweep = modular._sweep
+    # each undecided triple reaches ``_below_conv``, which builds no
+    # convolution, so the check on a closed table makes no ``_sweep`` call
+    calls = {"_below_conv": 0, "_sweep": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return sweep(*args)
+    def counted(name):
+        fn = getattr(modular, name)
 
-    monkeypatch.setattr(modular, "_sweep", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(modular, name, wrapper)
+
+    counted("_below_conv")
+    counted("_sweep")
     rng = random.Random(229)
     total = 0
     for n in (3, 5, 8):
@@ -297,9 +375,9 @@ def test_m2_sweeps_exactly_the_undecided_triples(monkeypatch):
             for z in pts
             if z != y
         )
-        calls[0] = 0
+        calls.update(_below_conv=0, _sweep=0)
         assert check_axioms(closed).m2
-        assert calls[0] == undecided
+        assert calls == {"_below_conv": undecided, "_sweep": 0}
         total += undecided
     assert total > 0
 

@@ -136,6 +136,32 @@ def test_raney_frozen_cases():
     assert not raney_check(make_example("diamond"))
 
 
+def raney_by_pairs(p, below):
+    """Every element is the join of the elements ``below`` it, asking
+    ``below`` once per pair."""
+    return all(p.join_all([a for a in p.elements if below(p, a, b)]) == b for b in p.elements)
+
+
+def test_raney_check_matches_the_per_pair_reading():
+    # raney_check builds each element's blocker join once; here well_below
+    # is asked per pair, and so is the all-families oracle where it runs
+    pentagon = FinitePoset(
+        ["bot", "a", "c", "b", "top"],
+        [("bot", "a"), ("a", "c"), ("c", "top"), ("bot", "b"), ("b", "top")],
+    )
+    stock = [make_example("two").poset, make_example("diamond").poset, pentagon]
+    stock += [make_example("chain", n).poset for n in (1, 2, 5, 8, 17)]
+    stock += [make_example("powerset", n).poset for n in range(6)]
+    seen = set()
+    for p in stock:
+        expected = raney_by_pairs(p, well_below)
+        assert raney_check(p) == expected, p.elements
+        if len(p.elements) <= 8:
+            assert raney_by_pairs(p, well_below_by_definition) == expected, p.elements
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_vdl_frozen_cases():
     assert vdl_check(make_example("two")) == {"raney": True, "vdl1": True, "vdl2": True}
     assert vdl_check(make_example("powerset", 2)) == {

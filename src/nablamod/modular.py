@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import chain, compress, product
 from math import isqrt
-from operator import or_
+from operator import lt
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, ResourceBoundError
@@ -52,7 +52,6 @@ from .stepfn import (
     eval_at,
     ext,
     format_step_literal,
-    le_op,
     left_regularize,
     oplus,  # not called here; bench/test_bench.py checks its tracer wraps this binding
     parse_step_literal,
@@ -500,8 +499,6 @@ def _midpoints(sorted_vals: list[Fraction]) -> list[Fraction]:
 def _eps_candidates(pool: set[Fraction]) -> tuple[Fraction, ...]:
     """Midpoints between the consecutive values of ``pool`` (which holds 0)
     plus one value above them all."""
-    if pool == {Fraction(0)}:
-        return (Fraction(1),)
     sv = sorted(pool)
     return tuple(_midpoints(sv) + [sv[-1] + 1])
 
@@ -526,9 +523,9 @@ def candidate_parameters(space: Space) -> tuple[tuple[Fraction, ...], tuple[Frac
     The least t lies below every cut and the least eps below every positive
     attained value, so the grid's finest entourage is the zero-head relation
     of :func:`_vanishes`.  The uniformity check and ``ball_topology`` read
-    the whole grid, as one table of first eps indices per candidate t
-    (:func:`_first_tables`); the topology and the continuity grades need
-    only that finest member.
+    the whole grid, as one list of first eps indices per entry that covers
+    every candidate t (:func:`_first_grids`); the topology and the
+    continuity grades need only that finest member.
     """
     if isinstance(space, ScaledModularSpace):
         pool = {Fraction(0)}
@@ -538,56 +535,43 @@ def candidate_parameters(space: Space) -> tuple[tuple[Fraction, ...], tuple[Frac
 
 
 class _SlotForm(NamedTuple):
-    """A step table read on one grid of slots.
+    """A step table read on its candidate grid (:func:`candidate_parameters`).
 
-    ``pos`` holds the pooled cut positions of all entries and ``vals`` the
-    finite values they attain, both ascending.  Slot 0 is the open interval
-    before ``pos[0]``, slot ``2c - 1`` is the position ``pos[c - 1]`` itself
-    and slot ``2c`` the open interval after it, so every entry is constant
-    on every slot.  ``ranks[i][j][s]`` is the index in ``vals`` of entry
-    (i, j)'s value on slot s, and ``len(vals)`` for infinity.
-    ``candidates`` is :func:`candidate_parameters` of the table.  The form
-    is read off the table's integer form (:meth:`_Table._int_form`).
+    The pooled cut positions of all entries cut the parameters into slots:
+    slot 0 is the open interval before the first cut, slot ``2c - 1`` is cut
+    number c itself and slot ``2c`` the open interval after it, so every entry
+    is constant on every slot, and candidate t number s lies in slot s.  The
+    pool is 0 and the finite values the entries attain, ascending; candidate
+    eps number k lies above pool[k] and below pool[k + 1], so a value's index
+    in the pool is the index of the first candidate eps above it.
 
-    A verdict at parameter t then locates t once (:meth:`slot`) and reads
-    each entry's rank there, and never evaluates a step function
-    (:func:`_first_tables`).
+    ``first[i][j][s]`` is that index for entry (i, j)'s value on slot s, and
+    the pool's length for infinity: (x_i, x_j) lies in U(t_s, eps_k) exactly
+    when ``k >= first[i][j][s]``.  ``half_slot[s]`` is the slot of t_s / 2,
+    and ``half_first[k]``, for a value with first index k, is the index of
+    the first candidate eps whose half lies above it.  The form is read off
+    the table's integer form (:meth:`_Table._int_form`), on its scales, and
+    no verdict on the grid evaluates a step function.
     """
 
-    pos: list[Fraction]
-    vals: list[Fraction]
-    ranks: list[list[list[int]]]
+    first: list[list[list[int]]]
+    half_slot: list[int]
+    half_first: list[int]
     candidates: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-    def slot(self, t: RationalLike) -> int:
-        """The slot holding the parameter ``t > 0``, by one bisection
-        (cross-multiplied, as in :func:`eval_at`)."""
-        t = as_fraction(t)
-        n, d = t.numerator, t.denominator
-        pos = self.pos
-        lo, hi = 0, len(pos)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = pos[mid]
-            if p.numerator * d < n * p.denominator:
-                lo = mid + 1
-            else:
-                hi = mid
-        at_cut = lo < len(pos) and pos[lo].numerator == n and pos[lo].denominator == d
-        return 2 * lo + 1 if at_cut else 2 * lo
 
 
 def _build_slot_form(p_scale: int, v_scale: int, tbl: list[list]) -> _SlotForm:
     """The slot form of a step table given in integer form (rows of
     :func:`_int_table` entries on the scales ``p_scale`` and ``v_scale``):
-    each entry's cuts are merged into the pooled slots in one pass."""
+    each entry's cuts are merged into the pooled slots in one pass, and the
+    halved grid is placed by integer bisections."""
     ints = [fi for row in tbl for fi in row]
-    ipos = sorted({p for _, cuts in ints for p, _, _ in cuts})
-    ivals = sorted(_finite_values(ints))
-    slot_of = {p: 2 * c + 1 for c, p in enumerate(ipos)}
-    rank = {v: r for r, v in enumerate(ivals)}
-    rank[math.inf] = len(ivals)
-    width = 2 * len(ipos) + 1
+    pos = sorted({p for _, cuts in ints for p, _, _ in cuts})
+    pool = sorted(_finite_values(ints) | {0})
+    slot_of = {p: 2 * c + 1 for c, p in enumerate(pos)}
+    rank = {v: r for r, v in enumerate(pool)}
+    rank[math.inf] = len(pool)
+    width = 2 * len(pos) + 1
 
     def merge(fi) -> list[int]:
         head, cuts = fi
@@ -599,19 +583,29 @@ def _build_slot_form(p_scale: int, v_scale: int, tbl: list[list]) -> _SlotForm:
         out += [cur] * (width - len(out))
         return out
 
-    pos = [Fraction(p, p_scale) for p in ipos]
-    vals = [Fraction(v, v_scale) for v in ivals]
+    # Twice each candidate on its scale: the midpoint of each gap is the sum
+    # of its walls, then the cut closing it, then one beyond the last cut.
     if pos:
-        # midpoint of each gap, then the cut closing it, then one beyond
-        walls = [Fraction(0), *pos]
-        t_cands = [x for a, b in zip(walls, pos) for x in ((a + b) / 2, b)] + [pos[-1] + 1]
+        t2 = [x for a, b in zip([0, *pos], pos) for x in (a + b, 2 * b)] + [2 * (pos[-1] + p_scale)]
     else:
-        t_cands = [Fraction(1)]
+        t2 = [2 * p_scale]
+    eps2 = [a + b for a, b in zip(pool, pool[1:])] + [2 * (pool[-1] + v_scale)]
+    # t / 2 against the cuts, both on 4 * p_scale: slot 2c, or 2c + 1 on cut c
+    quad = [4 * p for p in pos]
+    half_slot = []
+    for x in t2:
+        c = bisect_left(quad, x)
+        half_slot.append(2 * c + (c < len(quad) and quad[c] == x))
+    # v < eps / 2 exactly when 4 v < 2 eps, both on v_scale
+    half_first = [bisect_right(eps2, 4 * v) for v in pool] + [len(pool)]
     return _SlotForm(
-        pos,
-        vals,
         [[merge(fi) for fi in row] for row in tbl],
-        (tuple(t_cands), _eps_candidates({Fraction(0), *vals})),
+        half_slot,
+        half_first,
+        (
+            tuple(Fraction(x, 2 * p_scale) for x in t2),
+            tuple(Fraction(e, 2 * v_scale) for e in eps2),
+        ),
     )
 
 
@@ -670,40 +664,32 @@ class FiniteTopology:
         return all(frozenset([p]) in self.opens for p in self.points)
 
 
-def _nested_rows(first: list[list[int]], m: int) -> list[list[int]]:
-    """The rows, as bit masks ``rows[k][i]``, of ``m`` nested relations on
-    n points, where entry (i, j) belongs to relation k exactly when
-    ``k >= first[i][j]``: each entry is placed once, at its first index, and
-    every row is a prefix OR over k of what was placed."""
-    by_point = []
-    for row in first:
-        placed = [0] * (m + 1)
-        for j, k in enumerate(row):
-            placed[k] |= 1 << j
-        by_point.append(accumulate(placed[:m], or_))
-    return [list(rows) for rows in zip(*by_point)]
+def _first_grids(space: Space) -> tuple[tuple, list, list]:
+    """The candidate grid of a table (:func:`candidate_parameters`) and its
+    entourages, as two lists per entry (i, j) over every candidate t at
+    once: ``f[i][j][s]`` is the index of the first candidate eps e with
+    w(t_s, x_i, x_j) < e, and ``h[i][j][s]`` the index of the first with
+    w(t_s / 2, x_i, x_j) < e / 2, each the number of candidate eps if there
+    is none.  U(t, e) grows in e, so (x_i, x_j) lies in U(t_s, eps_k)
+    exactly when ``k >= f[i][j][s]``.
 
-
-def _first_tables(space: Space, ts: Iterable[Fraction], eps: Iterable[Fraction]):
-    """For each parameter of ``ts``, ``first[i][j]``: the index of the first
-    ``e`` of the ascending ``eps`` with w(t, x_i, x_j) < e, or
-    ``len(eps)`` if there is none.  U(t, e) = {(x, y) : w(t, x, y) < e}
-    grows in e, so this one table holds U(t, e) for the whole list
-    (:func:`_nested_rows` gives its rows).  A step table locates t in its
-    slot form and maps each entry's rank there through one bisection per
-    attained value; a scaled table places each w(t) by one bisection."""
-    es = [ext(e) for e in eps]
+    A step table reads ``f`` off its slot form as it stands and maps ``h``
+    through the form's halved slots and first indices; a scaled table places
+    each d / t by one bisection per t."""
+    t_cands, eps_cands = candidate_parameters(space)
     if isinstance(space, ScaledModularSpace):
         pts = space.points
-        for t in ts:
-            yield [[bisect_right(es, space.w_at(t, a, b)) for b in pts] for a in pts]
-        return
+        half_t, half_eps = [t / 2 for t in t_cands], [e / 2 for e in eps_cands]
+        d = [[space.d(a, b) for b in pts] for a in pts]
+        f, h = [
+            [[[bisect_right(es, v / t) for t in ts] for v in row] for row in d]
+            for ts, es in ((t_cands, eps_cands), (half_t, half_eps))
+        ]
+        return (t_cands, eps_cands), f, h
     form = space._slot_form()
-    # infinity, the last rank, lies below no e
-    th = [bisect_right(es, ExtRational(v)) for v in form.vals] + [len(es)]
-    for t in ts:
-        s = form.slot(t)
-        yield [[th[r[s]] for r in row] for row in form.ranks]
+    at_half, hf = form.half_slot, form.half_first.__getitem__
+    h = [[list(map(hf, map(r.__getitem__, at_half))) for r in row] for row in form.first]
+    return form.candidates, form.first, h
 
 
 def _vanishes(space: Space, x: str, y: str) -> bool:
@@ -903,40 +889,47 @@ def check_quasi_uniformity_base(space: Space) -> QuasiUniformityReport:
     - symmetry: on a symmetric table every U(t, eps) = {(x, y) :
       w(t, x, y) < eps} is symmetric by definition.
 
-    The diagonal and composition are read per candidate t off two first
-    index tables (:func:`_first_tables`): ``f`` at t over the candidate eps,
-    and ``h`` at t/2 over the halved eps, so that (i, j) lies in U(t, eps_k)
-    exactly when ``k >= f[i][j]``, and in U(t/2, eps_k/2) exactly when
-    ``k >= h[i][j]``.  The diagonal fails at k exactly when ``k < f[i][i]``.
-    The squared half entourage holds (i, z) exactly when some j has both
-    ``k >= h[i][j]`` and ``k >= h[j][z]``, that is when ``k >= B(i, z)`` for
-    the bottleneck product ``B(i, z) = min_j max(h[i][j], h[j][z])``; so
-    composition fails at k exactly when some (i, z) has
-    ``B(i, z) <= k < f[i][z]``.  One min-max product per t decides every eps.
+    The diagonal and composition are read off the first index grids
+    (:func:`_first_grids`), one list over the candidate t per entry: ``f``
+    at t over the candidate eps, and ``h`` at t/2 over the halved eps, so
+    that (i, j) lies in U(t_s, eps_k) exactly when ``k >= f[i][j][s]``, and
+    in U(t_s/2, eps_k/2) exactly when ``k >= h[i][j][s]``.  The diagonal
+    fails at (t_s, eps_k) exactly when ``k < f[i][i][s]``.  The squared half
+    entourage holds (i, z) exactly when some j has both ``k >= h[i][j][s]``
+    and ``k >= h[j][z][s]``, that is when ``k >= B(i, z)[s]`` for the
+    bottleneck product ``B(i, z) = min_j max(h[i][j], h[j][z])``, taken
+    elementwise over s; so composition fails at (t_s, eps_k) exactly when
+    some (i, z) has ``B(i, z)[s] <= k < f[i][z][s]``.  The product runs over
+    every t at once, with the lists of each row laid end to end across z,
+    and the failing ranges are only collected where ``B < f`` somewhere.
     """
-    t_cands, eps_cands = candidate_parameters(space)
+    (t_cands, eps_cands), f, h = _first_grids(space)
     pts = space.points
-    half_eps = [eps / 2 for eps in eps_cands]
-    halves = _first_tables(space, [t / 2 for t in t_cands], half_eps)
-    diagonal: list[str] = []
-    composition: list[str] = []
-    for t, f, h in zip(t_cands, _first_tables(space, t_cands, eps_cands), halves):
-        diagonal += [
+    n, nt = len(pts), len(t_cands)
+    diagonal = []
+    if any(any(f[i][i]) for i in range(n)):
+        diagonal = [
             f"diagonal: ({x}, {x}) escapes U(t={t}, eps={eps})"
+            for s, t in enumerate(t_cands)
             for k, eps in enumerate(eps_cands)
             for i, x in enumerate(pts)
-            if k < f[i][i]
+            if k < f[i][i][s]
         ]
-        cols = list(zip(*h))
-        failing: set[int] = set()
-        for h_i, f_i in zip(h, f):
-            for col, f_iz in zip(cols, f_i):
-                failing.update(range(min(map(max, h_i, col)), f_iz))
-        composition += [
-            f"composition: U(t={t / 2}, eps={half_eps[k]}) squared "
-            f"escapes U(t={t}, eps={eps_cands[k]})"
-            for k in sorted(failing)
-        ]
+    # entry (j, z) at t_s sits at z * nt + s of row j
+    h_rows = [list(chain.from_iterable(row)) for row in h]
+    failing: dict[int, set[int]] = {}
+    for h_i, f_i in zip(h, f):
+        legs = [map(max, h_ij * n, h_j) for h_ij, h_j in zip(h_i, h_rows)]
+        b = list(map(min, *legs) if n > 1 else legs[0])
+        f_row = list(chain.from_iterable(f_i))
+        for at in compress(range(n * nt), map(lt, b, f_row)):
+            failing.setdefault(at % nt, set()).update(range(b[at], f_row[at]))
+    composition = [
+        f"composition: U(t={t_cands[s] / 2}, eps={eps_cands[k] / 2}) squared "
+        f"escapes U(t={t_cands[s]}, eps={eps_cands[k]})"
+        for s in sorted(failing)
+        for k in sorted(failing[s])
+    ]
 
     return QuasiUniformityReport(
         diagonal=not diagonal,
@@ -1004,9 +997,12 @@ def nonexpansive_violation(
     m: PointMap,
 ) -> Optional[tuple[str, str, Fraction]]:
     """A concrete witness (x, y, t) where the image distance exceeds the
-    source distance, or None."""
-    for x, y, w1, w2 in _step_pairs(m):
-        if le_op(w1, w2):
+    source distance, or None.  The pairs are put on one integer scale by a
+    single conversion, as in :func:`_all_le`."""
+    pairs = list(_step_pairs(m))
+    ints = _to_ints(h for pair in pairs for h in pair[2:])[2]
+    for k, (x, y, w1, w2) in enumerate(pairs):
+        if _le(ints[2 * k], ints[2 * k + 1]):
             continue
         merged = sorted({c.pos for c in w1.cuts} | {c.pos for c in w2.cuts})
         probes: list[Fraction] = []

@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import ContractError, InputError, ParseError, _read_table, _write_table
@@ -32,15 +34,12 @@ from .modular import (
     StepModularSpace,
     _Table,
     _all_le,
-    _first_tables,
     _gate,
-    _nested_rows,
     _presents,
     _specialization,
     _step_entry,
     _table_axioms,
     _unions,
-    candidate_parameters,
     regularize,
 )
 from .quantale_lab import (
@@ -323,7 +322,8 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
     radius sits between two grid radii, and its ball is then squeezed
     between theirs, so the unions are the same.  At a finite radius the ball
     around a center is its row of the entourage U(t, eps) of the
-    category's own table (:func:`_balls`).
+    category's own table, read off its slot form one entry at a time over
+    every candidate t (:func:`_balls`).
     """
     _gate(cat, max_points)
     return _unions(cat.points, _balls(cat))
@@ -334,18 +334,24 @@ def _balls(cat: NablaCategory) -> set[int]:
 
     Every candidate eps is finite, and for a finite eps a hom g is well
     below f_step(t, eps) exactly when g(t) < eps.  So the ball around z at
-    (t, eps) is row z of the entourage U(t, eps) of the category's own
-    table, and the first index tables of its slot form (built from its
-    homs, independently of any space) give every ball per candidate t
-    (:func:`nablamod.modular._first_tables`)."""
-    t_cands, eps_cands = candidate_parameters(cat)
-    m = len(eps_cands)
-    return {
-        row
-        for first in _first_tables(cat, t_cands, eps_cands)
-        for rows in _nested_rows(first, m)
-        for row in rows
-    }
+    (t_s, eps_k) is row z of the entourage U(t_s, eps_k) of the category's
+    own table: the y with ``first[z][y][s] <= k`` in its slot form (built
+    from its homs, independently of any space).  Each distinct row of first
+    indices, over every center and t, gives its balls by one sort: the
+    objects up to each index below the number of candidate eps, and the
+    empty ball when the least index is above 0."""
+    form = cat._slot_form()
+    m = len(form.candidates[1])
+    bits = range(len(cat.points))
+    balls = set()
+    for row in {row for by_y in form.first for row in zip(*by_y)}:
+        ks, ys = zip(*sorted(zip(row, bits)))
+        # the last mask at each index holds every y up to it
+        upto = dict(zip(ks, accumulate((1 << y for y in ys), or_)))
+        balls.update(mask for k, mask in upto.items() if k < m)
+        if ks[0] > 0:
+            balls.add(0)
+    return balls
 
 
 def verify_topology_theorem(space: StepModularSpace) -> bool:

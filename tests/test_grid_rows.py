@@ -1,10 +1,13 @@
-"""The grid verdicts against per-cell oracles.
+"""The grid verdicts against per-t and per-cell oracles.
 
-``check_quasi_uniformity_base`` and ``ball_topology`` read one table of
-first eps indices per candidate t (``_first_tables``), off each table's
-slot form: the uniformity check by a bottleneck product, the ball side as
-the rows of the entourages.  ``topology`` and ``is_uniformly_continuous`` read the
+``check_quasi_uniformity_base`` and ``ball_topology`` read one list of first
+eps indices per entry that covers every candidate t
+(``modular._first_grids``), off each table's slot form: the uniformity
+check by a bottleneck product over all t at once, the ball side as the rows
+of the entourages.  ``topology`` and ``is_uniformly_continuous`` read the
 finest grid entourage, the zero-head relation.  The oracles below are the
+per-t first index tables those grids replaced (``_first_tables``, with
+their rows ``_nested_rows`` and the one-t bisection ``slot``), and the
 literal per-cell computations: ``neighborhood()`` and ``ball()`` at every
 grid cell, ``well_below_fstep`` at every radius, and the per-(t, eps)
 versions of the uniformity check (all five sweeps) and of the uniform
@@ -14,6 +17,8 @@ continuity test.
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import or_
 
 import pytest
 
@@ -44,12 +49,61 @@ from nablamod import (
     triangle_closure,
     well_below_fstep,
 )
-from nablamod.modular import (
-    QuasiUniformityReport,
-    _first_tables,
-    _neighborhood_masks,
-    _nested_rows,
-)
+from nablamod.modular import QuasiUniformityReport, _neighborhood_masks
+
+
+def pos_and_pool(space):
+    """The pooled cut positions of a step table and its pool (0 and the
+    finite values its entries attain), both ascending, read off its homs."""
+    homs = list(space.all_homs())
+    pos = sorted({c.pos for f in homs for c in f.cuts})
+    attained = {v.as_fraction() for f in homs for v in f.attained_values() if not v.is_infinite}
+    return pos, sorted(attained | {F(0)})
+
+
+def slot(pos, t):
+    """The slot holding the parameter ``t > 0`` among the cut positions
+    ``pos``: 2c before cut c (counting from 0) or after cut c - 1, 2c + 1 on
+    cut c itself, by one bisection."""
+    t = F(t)
+    c = bisect_left(pos, t)
+    return 2 * c + 1 if c < len(pos) and pos[c] == t else 2 * c
+
+
+def _nested_rows(first, m):
+    """The rows, as bit masks ``rows[k][i]``, of ``m`` nested relations on
+    n points, where entry (i, j) belongs to relation k exactly when
+    ``k >= first[i][j]``: each entry is placed once, at its first index, and
+    every row is a prefix OR over k of what was placed."""
+    by_point = []
+    for row in first:
+        placed = [0] * (m + 1)
+        for j, k in enumerate(row):
+            placed[k] |= 1 << j
+        by_point.append(accumulate(placed[:m], or_))
+    return [list(rows) for rows in zip(*by_point)]
+
+
+def _first_tables(space, ts, eps):
+    """For each parameter of ``ts``, ``first[i][j]``: the index of the first
+    ``e`` of the ascending ``eps`` with w(t, x_i, x_j) < e, or ``len(eps)``
+    if there is none (:func:`_nested_rows` gives its rows).  A step table
+    locates t by one bisection over its cuts and maps each entry's pool
+    index on that slot of its slot form through one bisection per pool
+    value; a scaled table places each w(t) by one bisection."""
+    es = [ext(e) for e in eps]
+    if isinstance(space, ScaledModularSpace):
+        pts = space.points
+        for t in ts:
+            yield [[bisect_right(es, space.w_at(t, a, b)) for b in pts] for a in pts]
+        return
+    form = space._slot_form()
+    pos, pool = pos_and_pool(space)
+    # infinity, the last index, lies below no e
+    th = [bisect_right(es, ext(v)) for v in pool] + [len(es)]
+    for t in ts:
+        s = slot(pos, t)
+        yield [[th[r[s]] for r in row] for row in form.first]
 
 
 def _entourage_grid(space, t, eps):

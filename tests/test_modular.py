@@ -507,13 +507,14 @@ def test_identity_is_nonexpansive():
 
 
 def test_nonexpansive_violation_reports_a_broken_contract(monkeypatch):
-    # If le_op claims a violation that no probe can find, the witness search
-    # ends in the package's own error type, not a bare AssertionError.
+    # If the integer order test claims a violation that no probe can find,
+    # the witness search ends in the package's own error type, not a bare
+    # AssertionError.
     import nablamod.modular as modular
 
     s = chistyakov_example(2)
     m = PointMap(s, s, {p: p for p in s.points})
-    monkeypatch.setattr(modular, "le_op", lambda f, g: False)
+    monkeypatch.setattr(modular, "_le", lambda f, g: False)
     with pytest.raises(ContractError):
         nonexpansive_violation(m)
 

@@ -176,6 +176,30 @@ def test_vdl_frozen_cases():
     }
 
 
+def test_vdl2_matches_the_list_membership_reading():
+    # vdl_check tests join stability against a set of element indices; the
+    # reference asks for each join by name in a list of the elements well
+    # below the top, as the check did before
+    def vdl2_by_list(p):
+        top = p.top()
+        near_top = [a for a in p.elements if well_below(p, a, top)]
+        return all(p.join(x, y) in near_top for x in near_top for y in near_top)
+
+    pentagon = FinitePoset(
+        ["bot", "a", "c", "b", "top"],
+        [("bot", "a"), ("a", "c"), ("c", "top"), ("bot", "b"), ("b", "top")],
+    )
+    stock = [make_example("chain", n).poset for n in (1, 2, 3, 8, 33)]
+    stock += [make_example("powerset", n).poset for n in range(6)]
+    stock += [make_example("diamond").poset, pentagon]
+    verdicts = set()
+    for p in stock:
+        expected = vdl2_by_list(p)
+        assert vdl_check(p)["vdl2"] == expected, p.elements
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Quantale laws.
 

@@ -2,14 +2,17 @@
 morphism graders that put their table pairs on one integer scale.
 
 Every grid verdict of a step table reads its entries off one kept slot
-form (``modular._SlotForm``): the pooled cut positions, the attained finite
-values, and each entry's value rank on every slot.  The oracles here are
+form (``modular._SlotForm``): each entry's index in the pool (0 and the
+attained finite values) on every slot between the pooled cut positions,
+which is also its first candidate eps index, and where t / 2 and eps / 2
+fall.  The oracles here are
 the literal evaluations the form replaces: ``eval_at`` at every parameter
 the grid verdicts locate, ``ball()`` at every radius for the ball side, and
 the ``le_op`` loops the graders ran before.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -41,13 +44,17 @@ from nablamod import (
     regularize,
     time_rescale,
 )
-from nablamod.modular import _build_slot_form, _first_tables, _midpoints, _nested_rows
+from nablamod.modular import _build_slot_form, _midpoints
 from nablamod.stepfn import _int_table
 from test_grid_rows import (
     STEP_SPACES,
+    _first_tables,
+    _nested_rows,
     cellwise_uniformly_continuous,
     literal_ball_topology,
     mask,
+    pos_and_pool,
+    slot,
 )
 
 EDGE_TABLES = [
@@ -72,9 +79,9 @@ EDGE_TABLES = [
 TABLES = STEP_SPACES + EDGE_TABLES
 
 
-def slot_value(form, i, j, s):
-    r = form.ranks[i][j][s]
-    return INF if r == len(form.vals) else ext(form.vals[r])
+def slot_value(form, pool, i, j, s):
+    r = form.first[i][j][s]
+    return INF if r == len(pool) else ext(pool[r])
 
 
 def located_parameters(space):
@@ -86,8 +93,8 @@ def located_parameters(space):
         for t in t_cands
         for e in eps_cands
     }
-    form = space._slot_form()
-    past = (form.pos[-1] if form.pos else F(1)) + F(1, 7)
+    pos = pos_and_pool(space)[0]
+    past = (pos[-1] if pos else F(1)) + F(1, 7)
     return (
         list(t_cands)
         + [t / 2 for t in t_cands]
@@ -99,32 +106,39 @@ def located_parameters(space):
 @pytest.mark.parametrize("name,space", TABLES)
 def test_slot_values_match_eval_at(name, space):
     form = space._slot_form()
+    pos, pool = pos_and_pool(space)
     pts = space.points
-    assert len(form.ranks) == len(pts)
+    assert len(form.first) == len(pts)
     for t in located_parameters(space):
-        s = form.slot(t)
-        assert 0 <= s <= 2 * len(form.pos)
+        s = slot(pos, t)
+        assert 0 <= s <= 2 * len(pos)
         for i, a in enumerate(pts):
             for j, b in enumerate(pts):
-                assert slot_value(form, i, j, s) == eval_at(space.w(a, b), t), (t, a, b)
+                assert slot_value(form, pool, i, j, s) == eval_at(space.w(a, b), t), (t, a, b)
 
 
 @pytest.mark.parametrize("name,space", TABLES)
 def test_candidates_come_from_the_form(name, space):
     form = space._slot_form()
+    pos, pool = pos_and_pool(space)
     t_cands, eps_cands = candidate_parameters(space)
-    # candidate t number s lies in slot s
-    assert [form.slot(t) for t in t_cands] == list(range(2 * len(form.pos) + 1))
+    # candidate t number s lies in slot s, and t / 2 in the form's half slot
+    assert [slot(pos, t) for t in t_cands] == list(range(2 * len(pos) + 1))
+    assert [slot(pos, t / 2) for t in t_cands] == form.half_slot
     # the literal definition: cuts, gap midpoints from 0, one past the last cut
     cuts = sorted({c.pos for f in space.all_homs() for c in f.cuts})
     expect_t = sorted(set(cuts) | set(_midpoints([F(0), *cuts])) | {cuts[-1] + 1}) if cuts else [1]
     assert list(t_cands) == expect_t
     homs = list(space.all_homs())
     attained = {v.as_fraction() for f in homs for v in f.attained_values() if not v.is_infinite}
-    assert form.vals == sorted(attained)
-    pool = sorted(attained | {F(0)})
+    assert pool == sorted(attained | {F(0)})
     expect_e = _midpoints(pool) + [pool[-1] + 1] if len(pool) > 1 else [1]
     assert list(eps_cands) == expect_e
+    # a pool value's index is its first candidate eps, and half_first is
+    # the first candidate eps whose half lies above it
+    assert [bisect_right(eps_cands, v) for v in pool] == list(range(len(pool)))
+    half = [e / 2 for e in eps_cands]
+    assert form.half_first == [bisect_right(half, v) for v in pool] + [len(pool)]
 
 
 def test_ball_rows_at_finite_radii_and_ball_topology_match_ball():

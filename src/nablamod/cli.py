@@ -52,7 +52,6 @@ from .qcat import (
     e_nabla,
     format_qcat,
     parse_qcat,
-    u_regularize,
     verify_diagram,
     verify_topology_theorem,
 )
@@ -170,12 +169,10 @@ def _cmd_dw(args: argparse.Namespace) -> int:
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
     obj = _load(args.file)
-    if isinstance(obj, NablaCategory):
-        sys.stdout.write(format_qcat(u_regularize(obj)))
-        return 0
     if isinstance(obj, FiniteQCategory):
         raise InputError("finite enriched categories have nothing to regularize")
-    sys.stdout.write(format_space(regularize(obj)))
+    write = format_qcat if isinstance(obj, NablaCategory) else format_space
+    sys.stdout.write(write(regularize(obj)))
     return 0
 
 

@@ -25,6 +25,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, product
 from math import isqrt
 from operator import lt
@@ -42,6 +43,7 @@ from .stepfn import (
     _from_ints,
     _int_table,
     _le,
+    _left_regular,
     _probe,
     _sweep,
     _to_ints,
@@ -52,7 +54,6 @@ from .stepfn import (
     eval_at,
     ext,
     format_step_literal,
-    left_regularize,
     oplus,  # not called here; bench/test_bench.py checks its tracer wraps this binding
     parse_step_literal,
     random_step,
@@ -150,13 +151,36 @@ class _Table:
 
     # Both forms are kept for the object's lifetime and never go stale: _Table
     # has no mutator, step functions are immutable and callers never mutate
-    # the lists.  A space and its e_mod hold equal entries in two dicts (the
-    # constructor validates into a new one), and each builds its own forms.
+    # the lists.  A space and its e_mod are one table (:meth:`_as`), and a
+    # table derived by a kernel is kept in integer form (:meth:`_of_form`).
+
+    def _as(self, cls: type) -> "_Table":
+        """This table as a ``cls`` with the same :meth:`_value`: the same
+        points, entry dict and forms built so far, not copied or validated."""
+        other = object.__new__(cls)
+        vars(other).update(vars(self))
+        return other
+
+    @classmethod
+    def _of_form(cls, points: tuple[str, ...], form: tuple[int, int, list[list]]) -> "_Table":
+        """The step table of kernel output in integer form, canonical so not
+        validated; its step functions are built on first use (:attr:`_table`)."""
+        table = object.__new__(cls)
+        vars(table).update(points=points, _ints=form)
+        return table
+
+    @cached_property
+    def _table(self) -> dict[tuple[str, str], object]:
+        """The entries of a table made by :meth:`_of_form`, from its integer
+        form by one :func:`stepfn._from_ints`; ``__init__`` sets its own."""
+        p_scale, v_scale, tbl = self._ints
+        back = _from_ints([f for row in tbl for f in row], p_scale, v_scale)
+        return dict(zip(product(self.points, self.points), back))
 
     def _int_form(self) -> tuple[int, int, list[list]]:
         """The table on one pair of integer scales: :func:`_int_table`, built
-        on first use, or the relaxed table that :func:`triangle_closure` sets
-        on the space it returns, on its input's scales."""
+        on first use, or the kernel output a derived table (:func:`regularize`,
+        :func:`triangle_closure`, on its input's scales) was made from."""
         if self._ints is None:
             self._ints = _int_table(self.points, self._entry)
         return self._ints
@@ -283,7 +307,7 @@ def _table_axioms(table: _Table) -> tuple[bool, bool, bool, bool, bool]:
     All five read the table's integer form (:meth:`_Table._int_form`).  Its
     entries are canonical, so m1, m3 and m4 compare them with ``(0, ())``
     (``ZERO`` on every scale) and with their transposes, and an entry is
-    left-continuous when each cut's ``at`` is the value before it.
+    left-continuous when it is its own :func:`stepfn._left_regular`.
 
     The quantale is integral (its unit, the zero function, is its top), so
     ``a * b <= a * top = a`` in its order: a convolution is pointwise at
@@ -307,12 +331,7 @@ def _table_axioms(table: _Table) -> tuple[bool, bool, bool, bool, bool]:
     )
     m3 = not any(tbl[i][j] == (0, ()) == tbl[j][i] for i in range(n) for j in range(i))
     m4 = all(tbl[i][j] == tbl[j][i] for i in range(n) for j in range(i))
-    lc = all(
-        at == prev
-        for row in tbl
-        for head, cuts in row
-        for (_, at, _), prev in zip(cuts, (head, *(c[2] for c in cuts)))
-    )
+    lc = all(f == _left_regular(f) for row in tbl for f in row)
     return m1, m2, m3, m4, lc
 
 
@@ -386,14 +405,16 @@ def chistyakov_example(n: int) -> StepModularSpace:
 
 def regularize(space: Space) -> Space:
     """Left-regularize every entry of a step table into a new table of its
-    class (a step category for :func:`nablamod.qcat.u_regularize`).  Scaled
+    class, in integer form, by one :func:`stepfn._left_regular` pass.  Scaled
     spaces are already continuous in the parameter, so they pass through;
     any other table (a finite category, an extended metric) is refused."""
     if isinstance(space, ScaledModularSpace):
         return space
     if not all(isinstance(f, StepFunction) for f in space.all_homs()):
         raise InputError(f"{type(space).__name__} has no step entries to regularize")
-    return type(space)(space.points, {k: left_regularize(f) for k, f in space._table.items()})
+    p_scale, v_scale, tbl = space._int_form()
+    regular = [[_left_regular(f) for f in row] for row in tbl]
+    return type(space)._of_form(space.points, (p_scale, v_scale, regular))
 
 
 def triangle_closure(space: StepModularSpace) -> StepModularSpace:
@@ -412,8 +433,8 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
     (:func:`stepfn._sweep`): it builds the pointwise minimum of the entry and
     the convolution directly, in canonical form, so the entry is relaxed
     exactly when that minimum differs from it.
-    The relaxed table, on the input's scales, is kept as the returned space's
-    integer form (:meth:`_Table._int_form`), which the axiom check reads.
+    The result is kept as the relaxed table, on the input's scales
+    (:meth:`_Table._of_form`), which the axiom check reads.
 
     Requires a vanishing diagonal; with it, the relaxed table keeps the
     diagonal at zero and dominates no entry it started with.
@@ -445,10 +466,7 @@ def triangle_closure(space: StepModularSpace) -> StepModularSpace:
                 if new != cur:
                     tbl[i][j] = new
                     atoms[i][j] = _atoms(new, True)
-    back = _from_ints([f for row in tbl for f in row], p_scale, v_scale)
-    closed = StepModularSpace(pts, dict(zip(product(pts, pts), back)))
-    closed._ints = p_scale, v_scale, tbl
-    return closed
+    return StepModularSpace._of_form(pts, (p_scale, v_scale, tbl))
 
 
 def random_closed_space(rng: random.Random, n_points: int) -> StepModularSpace:

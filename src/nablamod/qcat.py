@@ -5,8 +5,8 @@ enriched in the step-function quantale: points become objects and each
 ordered pair carries a hom given by its distance profile.  The category
 classes here therefore share the spaces' table core
 (:class:`nablamod.modular._Table`), and converting between the two views
-hands the validated entries over unchanged (the constructor copies them
-into the new table's own dict).  This module provides that
+presents one table as the other class, copying and validating nothing
+again.  This module provides that
 categorical presentation (:class:`NablaCategory`), its
 counterpart over an explicit finite quantale (:class:`FiniteQCategory`),
 the conversions between spaces and categories, the open-ball topology,
@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from operator import or_
 from typing import Iterable, Mapping, Optional, Union
 
@@ -52,10 +52,10 @@ from .quantale_lab import (
 from .stepfn import (
     ExtRational,
     RationalLike,
+    _left_regular,
     as_fraction,
     ext,
     format_step_literal,
-    is_left_continuous,
     le_op,  # not called here; bench/test_bench.py checks its tracer wraps this binding
     well_below_fstep,
 )
@@ -132,18 +132,8 @@ class FiniteQCategory(_Table):
         if same is not True:
             return same
         q1, q2 = self.quantale, other.quantale
-        if q1 is q2:
-            return True
-        return (
-            q1.elements == q2.elements
-            and q1.unit == q2.unit
-            and q1.poset.pairs() == q2.poset.pairs()
-            and all(
-                q1.mul(a, b) == q2.mul(a, b)
-                for a in q1.elements
-                for b in q1.elements
-            )
-        )
+        # FinitePreorder.__eq__ compares the elements and the closed rows
+        return q1 is q2 or (q1.poset, q1.unit, q1._mul) == (q2.poset, q2.unit, q2._mul)
 
     # Equal categories have equal points and hom tables, so the table hash
     # is consistent with the quantale-aware equality above.
@@ -216,32 +206,31 @@ def e_mod(space: StepModularSpace) -> NablaCategory:
     """View a step space as an enriched category.
 
     The distance table already assigns each ordered pair a step function,
-    so its validated entries are handed over as the hom table, which the
-    constructor copies into a dict of its own; object order and hom values
-    are untouched.  The split triangle axiom becomes the
+    so the category is the same table as its other class: the same entry
+    dict and any form built so far (:meth:`nablamod.modular._Table._as`).
+    The split triangle axiom becomes the
     composition axiom and the zero diagonal becomes the identity axiom.
     """
     if not isinstance(space, StepModularSpace):
         raise InputError("only step spaces have a categorical presentation")
-    return NablaCategory(space.points, space._table)
+    return space._as(NablaCategory)
 
 
 def e_nabla(cat: NablaCategory) -> StepModularSpace:
     """Inverse of :func:`e_mod`: read the hom table as a distance table."""
     if not isinstance(cat, NablaCategory):
         raise InputError("only step-function categories convert to spaces")
-    return StepModularSpace(cat.points, cat._table)
+    return cat._as(StepModularSpace)
 
 
 def e_nabla_L(cat: NablaCategory) -> StepModularSpace:
     """Like :func:`e_nabla`, but restricted to categories all of whose homs
-    are left continuous; anything else breaks the restriction's contract."""
-    for a in cat.points:
-        for b in cat.points:
-            if not is_left_continuous(cat.hom(a, b)):
-                raise ContractError(
-                    f"hom ({a}, {b}) is not left continuous"
-                )
+    are left continuous (each its own :func:`nablamod.stepfn._left_regular`
+    in integer form); anything else breaks the restriction's contract."""
+    pairs = product(cat.points, cat.points)
+    for (a, b), f in zip(pairs, chain.from_iterable(cat._int_form()[2])):
+        if f != _left_regular(f):
+            raise ContractError(f"hom ({a}, {b}) is not left continuous")
     return e_nabla(cat)
 
 
@@ -322,7 +311,7 @@ def ball_topology(cat: NablaCategory, *, max_points: int = 12) -> FiniteTopology
     radius sits between two grid radii, and its ball is then squeezed
     between theirs, so the unions are the same.  At a finite radius the ball
     around a center is its row of the entourage U(t, eps) of the
-    category's own table, read off its slot form one entry at a time over
+    category's table, read off its slot form one entry at a time over
     every candidate t (:func:`_balls`).
     """
     _gate(cat, max_points)
@@ -335,8 +324,8 @@ def _balls(cat: NablaCategory) -> set[int]:
     Every candidate eps is finite, and for a finite eps a hom g is well
     below f_step(t, eps) exactly when g(t) < eps.  So the ball around z at
     (t_s, eps_k) is row z of the entourage U(t_s, eps_k) of the category's
-    own table: the y with ``first[z][y][s] <= k`` in its slot form (built
-    from its homs, independently of any space).  Each distinct row of first
+    table: the y with ``first[z][y][s] <= k`` in its slot form (the one
+    its space built, if :func:`e_mod` made it).  Each distinct row of first
     indices, over every center and t, gives its balls by one sort: the
     objects up to each index below the number of candidate eps, and the
     empty ball when the least index is above 0."""
@@ -360,7 +349,10 @@ def verify_topology_theorem(space: StepModularSpace) -> bool:
     generators (:func:`nablamod.modular._presents`): the balls must generate
     exactly the up-sets of the space's specialization preorder.  It builds
     no family of open sets, so unlike ``topology`` and :func:`ball_topology`
-    it is not gated on the point count."""
+    it is not gated on the point count.  The category shares the space's
+    slot form (:func:`e_mod`), yet this stays a cross-check: the balls come
+    from the form's first indices, the preorder from the step functions'
+    heads (:func:`nablamod.modular._vanishes`)."""
     return _presents(_specialization(space), _balls(e_mod(space)))
 
 

@@ -379,15 +379,10 @@ def check_quantale_laws(q: FiniteQuantale) -> QuantaleLawReport:
     right_dist = all(keeps_joins([row[a] for row in mul]) for a in range(n))
 
     unit = None
-    if q.unit is not None:
-        u = idx[q.unit]
+    for u in [idx[q.unit]] if q.unit is not None else range(n):
         if all(mul[u][a] == a == mul[a][u] for a in range(n)):
-            unit = q.unit
-    else:
-        for u in range(n):
-            if all(mul[u][a] == a == mul[a][u] for a in range(n)):
-                unit = p.elements[u]
-                break
+            unit = p.elements[u]
+            break
     unital = unit is not None
     integral = unital and unit == p.top()
 
@@ -395,7 +390,6 @@ def check_quantale_laws(q: FiniteQuantale) -> QuantaleLawReport:
         # distributivity makes the operation monotone, and with a top unit
         # every product must sit under both factors; failure here would mean
         # the checks above contradict each other
-        u = idx[unit]
         for a in range(n):
             for b in range(n):
                 ab = mul[a][b]

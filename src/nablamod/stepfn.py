@@ -566,28 +566,27 @@ def f_step(t: RationalLike, eps: Union[RationalLike, ExtRational]) -> StepFuncti
     return StepFunction(INF, [(t_f, eps_v, eps_v)])
 
 
+def _left_regular(fi: _IFn) -> _IFn:
+    """Each cut's ``at`` becomes the value before it.  Canonical in,
+    canonical out: a canonical cut ends below the value before it."""
+    head, cuts = fi
+    before = (head, *(c[2] for c in cuts))
+    return head, tuple((p, prev, after) for (p, _, after), prev in zip(cuts, before))
+
+
 def left_regularize(f: StepFunction) -> StepFunction:
     """Replace the value at each cut by the limit from the left.
 
     The result is the largest left-continuous function below ``f`` in the
     opposite order (equivalently: ``t -> inf of f on (0, t)``).
     """
-    cuts = []
-    prev = f.head
-    for c in f.cuts:
-        cuts.append((c.pos, prev, c.after))
-        prev = c.after
-    return StepFunction(f.head, cuts)
+    p_scale, v_scale, (fi,) = _to_ints((f,))
+    return _from_int(_left_regular(fi), p_scale, v_scale)
 
 
 def is_left_continuous(f: StepFunction) -> bool:
-    """True iff ``f`` has no left jump at any cut."""
-    prev = f.head
-    for c in f.cuts:
-        if c.at != prev:
-            return False
-        prev = c.after
-    return True
+    """True iff ``f`` has no left jump at any cut: ``f == left_regularize(f)``."""
+    return f == left_regularize(f)
 
 
 def well_below_top(f: StepFunction) -> bool:

@@ -192,14 +192,29 @@ def test_uniform_continuity_matches_the_cellwise_test_on_asymmetric_tables():
 
 @pytest.mark.parametrize("name,space", TABLES)
 def test_presentations_share_candidates_but_not_forms(name, space):
+    # views made before any form is built: the same dict underneath, and
+    # each view builds its own form later, with equal content
+    space = StepModularSpace(space.points, dict(space._table))
     cat = e_mod(space)
     back = e_nabla(cat)
+    assert cat._table is space._table is back._table
     assert candidate_parameters(space) == candidate_parameters(cat) == candidate_parameters(back)
-    # the same dict underneath, three objects, three forms, equal content
     assert space._slot_form() is space._slot_form()
     forms = [space._slot_form(), cat._slot_form(), back._slot_form()]
     assert forms[0] is not forms[1] and forms[1] is not forms[2]
     assert forms[0] == forms[1] == forms[2]
+
+
+@pytest.mark.parametrize("name,space", TABLES)
+def test_presentations_share_one_table(name, space):
+    # the space's slot form built first: both views return it by identity
+    form = space._slot_form()
+    cat = e_mod(space)
+    back = e_nabla(cat)
+    assert cat._slot_form() is form and back._slot_form() is form
+    assert cat._int_form() is space._int_form() is back._int_form()
+    assert cat._table is space._table is back._table
+    assert candidate_parameters(space) == candidate_parameters(cat) == candidate_parameters(back)
 
 
 def test_distinct_tables_never_see_each_others_form():
